@@ -1,22 +1,17 @@
 // Wall-clock benchmark of the offline pipeline: train_pipeline plus the
-// policy comparison on the same trace, run end to end in two configurations:
-//
-//  - baseline: the seed-faithful path (no period-option cache, exact start
-//    voltages, serial slot-recording subset sweep, unfused ANN kernels) at
-//    one thread;
-//  - fast: the memoized + fused path at 1, 2 and N threads (N from
-//    SOLSCHED_THREADS or hardware concurrency).
+// policy comparison on the same trace, run end to end on the paper pipeline
+// configuration (memoized DP, fused ANN kernels) at 1, 2 and N threads (N
+// from SOLSCHED_THREADS or hardware concurrency).
 //
 // Timing runs execute with observability off (the disabled path is the one
 // the 5%-of-PR1 budget is measured against). A separate instrumented pass
-// then re-runs the fast configuration with solsched::obs enabled and dumps:
+// then re-runs the pipeline with solsched::obs enabled and dumps:
 //  - a "metrics" section into BENCH_pipeline.json (cache hit rate, DP
 //    evaluations, per-stage span times) taken from the metrics registry;
 //  - pipeline_bench.metrics.json — the full registry snapshot;
 //  - pipeline_bench.trace.json — Chrome trace_event JSON (chrome://tracing);
 //  - pipeline_bench.events.jsonl — the Optimal row's simulation event trace.
 // The bench asserts nothing: determinism guarantees are covered by tests.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -58,19 +53,7 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-core::PipelineConfig make_config(bool fast) {
-  core::PipelineConfig config = bench::paper_pipeline(kNCaps);
-  if (!fast) {
-    config.dp.use_option_cache = false;
-    config.dp.v0_quant_steps = 0;
-    config.dp.legacy_eval = true;
-    config.dbn.pretrain.fused_kernels = false;
-    config.dbn.finetune.fused_kernels = false;
-  }
-  return config;
-}
-
-RunResult run_once(bool fast, std::size_t threads) {
+RunResult run_once(std::size_t threads) {
   util::ThreadPool::set_global_threads(threads);
 
   const auto grid = bench::paper_grid();
@@ -79,7 +62,7 @@ RunResult run_once(bool fast, std::size_t threads) {
       gen.generate_days(kTrainDays, grid, solar::DayKind::kPartlyCloudy);
   const auto graph = task::wam_benchmark();
   const nvp::NodeConfig node = bench::paper_node();
-  const core::PipelineConfig config = make_config(fast);
+  const core::PipelineConfig config = bench::paper_pipeline(kNCaps);
 
   RunResult result;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -105,7 +88,7 @@ RunResult run_once(bool fast, std::size_t threads) {
   return result;
 }
 
-/// One fast-path run with the full observability stack on. Returns the
+/// One pipeline run with the full observability stack on. Returns the
 /// registry snapshot; writes the Chrome trace and the Optimal row's
 /// simulation event trace next to the binary.
 obs::MetricsSnapshot instrumented_pass(std::size_t threads) {
@@ -121,7 +104,7 @@ obs::MetricsSnapshot instrumented_pass(std::size_t threads) {
       gen.generate_days(kTrainDays, grid, solar::DayKind::kPartlyCloudy);
   const auto graph = task::wam_benchmark();
   const nvp::NodeConfig node = bench::paper_node();
-  const core::PipelineConfig config = make_config(/*fast=*/true);
+  const core::PipelineConfig config = bench::paper_pipeline(kNCaps);
 
   const core::TrainedController trained =
       core::train_pipeline(graph, trace, node, config);
@@ -327,19 +310,12 @@ int main() {
   // Timing passes measure the obs-disabled path.
   obs::set_enabled(false);
 
-  const RunResult baseline = run_once(/*fast=*/false, /*threads=*/1);
-  std::printf("baseline (seed path, 1 thread): %.1f ms "
-              "(train %.1f + compare %.1f)\n",
-              baseline.total_ms, baseline.train_ms, baseline.compare_ms);
-
   std::vector<RunResult> fast;
   for (std::size_t t : fast_threads) {
-    fast.push_back(run_once(/*fast=*/true, t));
+    fast.push_back(run_once(t));
     const RunResult& r = fast.back();
-    std::printf("fast (cache+fused, %zu thread%s): %.1f ms "
-                "(train %.1f + compare %.1f), speedup %.2fx\n",
-                t, t == 1 ? "" : "s", r.total_ms, r.train_ms, r.compare_ms,
-                baseline.total_ms / r.total_ms);
+    std::printf("fast (%zu thread%s): %.1f ms (train %.1f + compare %.1f)\n",
+                t, t == 1 ? "" : "s", r.total_ms, r.train_ms, r.compare_ms);
   }
 
   // Instrumented pass: metrics + Chrome trace + event trace, off the clock.
@@ -404,7 +380,6 @@ int main() {
                kTrainDays, kNCaps, static_cast<unsigned long long>(kSeed),
                kReps);
   std::fprintf(f, "  \"runs\": {\n");
-  print_json_entry(f, "baseline_1t", baseline, 1, /*last=*/false);
   for (std::size_t i = 0; i < fast.size(); ++i)
     print_json_entry(f, "fast_" + std::to_string(fast_threads[i]) + "t",
                      fast[i], fast_threads[i], /*last=*/false);
@@ -478,17 +453,10 @@ int main() {
                "    \"cold_trainings\": %zu,\n"
                "    \"warm_trainings\": %zu,\n"
                "    \"warm_artifact_hits\": %zu\n"
-               "  },\n",
+               "  }\n",
                cb.shards, cb.cold_ms, cb.warm_ms, cb.cold_trainings,
                cb.warm_trainings, cb.warm_artifact_hits);
 
-  const double best_fast =
-      std::min_element(fast.begin(), fast.end(),
-                       [](const RunResult& a, const RunResult& b) {
-                         return a.total_ms < b.total_ms;
-                       })
-          ->total_ms;
-  std::fprintf(f, "  \"speedup_best\": %.3f\n", baseline.total_ms / best_fast);
   std::fprintf(f, "}\n");
   std::fclose(f);
 
@@ -508,9 +476,8 @@ int main() {
     }
   }
 
-  std::printf("wrote BENCH_pipeline.json (best speedup %.2fx), "
-              "pipeline_bench.metrics.json, pipeline_bench.trace.json, "
-              "pipeline_bench.events.jsonl, pipeline_bench.manifest.json\n",
-              baseline.total_ms / best_fast);
+  std::printf("wrote BENCH_pipeline.json, pipeline_bench.metrics.json, "
+              "pipeline_bench.trace.json, pipeline_bench.events.jsonl, "
+              "pipeline_bench.manifest.json\n");
   return 0;
 }

@@ -49,9 +49,6 @@ class Matrix {
   /// y = W^T x into a caller-owned buffer (resized as needed).
   void multiply_transposed_into(const Vector& x, Vector& y) const;
 
-  /// W += scale * a b^T  (a.size() == rows, b.size() == cols).
-  void add_outer(const Vector& a, const Vector& b, double scale);
-
   /// W += scale * other (same shape).
   void add_scaled(const Matrix& other, double scale);
 
@@ -81,8 +78,7 @@ double mse(const Vector& a, const Vector& b);
 
 /// Fused SGD-with-momentum step over one weight matrix:
 ///   vel = momentum * vel + coeff * (a b^T + decay * w);  w += vel.
-/// One pass over w/vel instead of the scale + add_outer + add_scaled
-/// sequence (which walks the matrix four times and allocates a gradient).
+/// One pass over w and vel, with no gradient temporary.
 void momentum_update(Matrix& w, Matrix& vel, const Vector& a, const Vector& b,
                      double momentum, double coeff, double decay);
 

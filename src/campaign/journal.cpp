@@ -11,17 +11,12 @@
 #include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
+#include "util/byte_format.hpp"
 
 namespace solsched::campaign {
 namespace {
 
 constexpr const char* kMagic = "solsched-campaign-journal-v1";
-
-std::string render_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 std::string render_u64(std::uint64_t value) { return std::to_string(value); }
 
@@ -56,12 +51,13 @@ std::string require_string(const obs::analysis::JsonValue& obj,
 }  // namespace
 
 std::string ShardRecord::to_json() const {
-  using obs::analysis::json_escape;
+  using util::format_g17;
+  using util::json_escape;
   std::string out = "{\"shard\": " + std::to_string(shard);
   out += ", \"key\": \"" + json_escape(key) + "\"";
   out += ", \"workload\": \"" + json_escape(workload) + "\"";
   out += ", \"seed\": " + render_u64(seed);
-  out += ", \"intensity\": " + render_double(intensity);
+  out += ", \"intensity\": " + format_g17(intensity);
   out += ", \"artifact_key\": " + render_u64(artifact_key);
   out += ", \"artifact_hit\": ";
   out += artifact_hit ? "true" : "false";
@@ -71,13 +67,13 @@ std::string ShardRecord::to_json() const {
     const ShardRow& r = rows[i];
     if (i > 0) out += ", ";
     out += "{\"algo\": \"" + json_escape(r.algo) + "\"";
-    out += ", \"dmr\": " + render_double(r.dmr);
-    out += ", \"energy_utilization\": " + render_double(r.energy_utilization);
-    out += ", \"migration_efficiency\": " + render_double(r.migration_efficiency);
+    out += ", \"dmr\": " + format_g17(r.dmr);
+    out += ", \"energy_utilization\": " + format_g17(r.energy_utilization);
+    out += ", \"migration_efficiency\": " + format_g17(r.migration_efficiency);
     out += ", \"brownouts\": " + render_u64(r.brownouts);
-    out += ", \"solar_j\": " + render_double(r.solar_j);
-    out += ", \"served_j\": " + render_double(r.served_j);
-    out += ", \"loss_j\": " + render_double(r.loss_j);
+    out += ", \"solar_j\": " + format_g17(r.solar_j);
+    out += ", \"served_j\": " + format_g17(r.served_j);
+    out += ", \"loss_j\": " + format_g17(r.loss_j);
     out += ", \"power_failure_slots\": " + render_u64(r.power_failure_slots);
     out += ", \"fallbacks\": " + render_u64(r.fallbacks);
     out += "}";

@@ -4,17 +4,11 @@
 #include <cstdio>
 #include <map>
 
-#include "obs/analysis/json_mini.hpp"
+#include "util/byte_format.hpp"
 #include "util/stats.hpp"
 
 namespace solsched::campaign {
 namespace {
-
-std::string render_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 std::string render_fixed(double value) {
   char buf[64];
@@ -85,11 +79,11 @@ struct GroupBuilder {
 };
 
 std::string summary_json(const MetricSummary& s) {
-  std::string out = "{\"mean\": " + render_double(s.mean);
-  out += ", \"min\": " + render_double(s.min);
-  out += ", \"p50\": " + render_double(s.p50);
-  out += ", \"p90\": " + render_double(s.p90);
-  out += ", \"max\": " + render_double(s.max);
+  std::string out = "{\"mean\": " + util::format_g17(s.mean);
+  out += ", \"min\": " + util::format_g17(s.min);
+  out += ", \"p50\": " + util::format_g17(s.p50);
+  out += ", \"p90\": " + util::format_g17(s.p90);
+  out += ", \"max\": " + util::format_g17(s.max);
   out += "}";
   return out;
 }
@@ -116,7 +110,7 @@ std::vector<GroupAggregate> aggregate(const std::vector<ShardRecord>& records) {
       by_workload[wkey].group = wkey;
     }
     by_workload[wkey].add(record);
-    const std::string ikey = "intensity=" + render_double(record.intensity);
+    const std::string ikey = "intensity=" + util::format_g17(record.intensity);
     if (by_intensity.find(ikey) == by_intensity.end()) {
       intensity_order.push_back(ikey);
       by_intensity[ikey].group = ikey;
@@ -162,7 +156,7 @@ std::string aggregate_table(const std::vector<ShardRecord>& records) {
 }
 
 std::string aggregate_json(const std::vector<ShardRecord>& records) {
-  using obs::analysis::json_escape;
+  using util::json_escape;
   const std::vector<GroupAggregate> groups = aggregate(records);
   std::string out = "{\n  \"aggregate\": \"solsched-campaign-aggregate-v1\",\n";
   out += "  \"shards\": " + std::to_string(records.size()) + ",\n";

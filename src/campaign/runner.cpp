@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -18,6 +18,7 @@
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "sched/registry.hpp"
+#include "util/byte_format.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -58,12 +59,7 @@ std::uint64_t artifact_key_of(const CampaignSpec& spec,
   canon += "dp_buckets=" + std::to_string(spec.dp_buckets) + ";";
   canon += "pretrain_epochs=" + std::to_string(spec.pretrain_epochs) + ";";
   canon += "finetune_epochs=" + std::to_string(spec.finetune_epochs);
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : canon) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return util::fnv1a(canon);
 }
 
 ShardRow row_from(const core::ComparisonRow& row) {
@@ -114,17 +110,9 @@ std::uint64_t fingerprint_controller(const core::TrainedController& tc,
     batch.push_back(std::move(u));
   }
   const std::vector<ann::Vector> outs = model.dbn->predict_batch(batch);
-  std::uint64_t h = 14695981039346656037ULL;
+  std::uint64_t h = util::kFnv1aOffsetBasis;
   for (const ann::Vector& y : outs)
-    for (double v : y) {
-      std::uint64_t bits = 0;
-      static_assert(sizeof(bits) == sizeof(v));
-      std::memcpy(&bits, &v, sizeof(bits));
-      for (std::size_t byte = 0; byte < sizeof(bits); ++byte) {
-        h ^= (bits >> (8 * byte)) & 0xFFu;
-        h *= 1099511628211ULL;
-      }
-    }
+    for (double v : y) h = util::fnv1a_u64(h, std::bit_cast<std::uint64_t>(v));
   return h;
 }
 

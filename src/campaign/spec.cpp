@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "sched/registry.hpp"
 #include "task/benchmarks.hpp"
+#include "util/byte_format.hpp"
 
 namespace solsched::campaign {
 namespace {
@@ -146,28 +146,11 @@ const char* day_kind_name(solar::DayKind kind) {
                          std::to_string(static_cast<int>(kind)));
 }
 
-std::string render_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-std::uint64_t fnv1a(const std::string& bytes) noexcept {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::string Scenario::key() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "/s%llu/i%g",
-                static_cast<unsigned long long>(seed), intensity);
-  return workload + buf;
+  return workload + "/s" + std::to_string(seed) + "/i" +
+         util::format_g6(intensity);
 }
 
 CampaignSpec CampaignSpec::parse(const std::string& text) {
@@ -245,7 +228,7 @@ std::string CampaignSpec::canonical() const {
   const auto u64 = [](std::uint64_t v) { return std::to_string(v); };
   list("workloads", str, workloads);
   list("seeds", u64, seeds);
-  list("intensities", render_double, intensities);
+  list("intensities", util::format_g17, intensities);
   list("schedulers", str, schedulers);
   out += "fault=" + fault_spec + ";";
   out += "days=" + std::to_string(eval_days) + ";";
@@ -255,14 +238,16 @@ std::string CampaignSpec::canonical() const {
   out += "n_caps=" + std::to_string(n_caps) + ";";
   out += "periods=" + std::to_string(periods) + ";";
   out += "slots=" + std::to_string(slots) + ";";
-  out += "dt=" + render_double(dt_s) + ";";
+  out += "dt=" + util::format_g17(dt_s) + ";";
   out += "dp_buckets=" + std::to_string(dp_buckets) + ";";
   out += "pretrain_epochs=" + std::to_string(pretrain_epochs) + ";";
   out += "finetune_epochs=" + std::to_string(finetune_epochs);
   return out;
 }
 
-std::uint64_t CampaignSpec::digest() const { return fnv1a(canonical()); }
+std::uint64_t CampaignSpec::digest() const {
+  return util::fnv1a(canonical());
+}
 
 std::vector<Scenario> CampaignSpec::expand() const {
   std::vector<Scenario> scenarios;

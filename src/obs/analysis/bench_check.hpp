@@ -30,7 +30,7 @@ namespace solsched::obs::analysis {
 /// schema the run key is "kernel[RxC]" and the metric is mflops (or
 /// ns_per_call when the entry carries no flop count).
 struct BenchDelta {
-  std::string run;         ///< "baseline_1t" or "gemv[64x128]".
+  std::string run;         ///< "fast_1t" or "gemv[64x128]".
   std::string metric;      ///< "total_ms", "train_ms", "mflops", ...
   double old_ms = 0.0;     ///< Baseline value (despite the _ms name).
   double new_ms = 0.0;     ///< Candidate value.

@@ -19,6 +19,7 @@
 #include "obs/analysis/telemetry_view.hpp"
 #include "obs/analysis/timeline.hpp"
 #include "obs/sim_trace.hpp"
+#include "util/byte_format.hpp"
 #include "util/table.hpp"
 
 namespace solsched::obs::analysis {
@@ -192,9 +193,7 @@ void flatten(const JsonValue& value, const std::string& prefix,
         std::map<std::string, std::string> one;
         flatten(value.array[i], "", one);
         if (value.array[i].is_number()) {
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%.17g", value.array[i].number);
-          joined += buf;
+          joined += util::format_g17(value.array[i].number);
         } else {
           joined += value.array[i].string;
         }
@@ -202,12 +201,9 @@ void flatten(const JsonValue& value, const std::string& prefix,
       out[prefix] = "[" + joined + "]";
       break;
     }
-    case JsonValue::Kind::kNumber: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", value.number);
-      out[prefix] = buf;
+    case JsonValue::Kind::kNumber:
+      out[prefix] = util::format_g17(value.number);
       break;
-    }
     case JsonValue::Kind::kString: out[prefix] = value.string; break;
     case JsonValue::Kind::kBool: out[prefix] = value.boolean ? "true" : "false";
       break;

@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/byte_format.hpp"
+
 namespace solsched::obs::analysis {
 
 /// One parsed JSON value. Object member order is preserved (the writers in
@@ -46,8 +48,8 @@ struct JsonValue {
 /// rejected). Throws std::runtime_error with the byte offset on error.
 JsonValue parse_json(const std::string& text);
 
-/// Escapes `s` for embedding inside a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string json_escape(const std::string& s);
+/// Escapes a string for embedding inside a JSON string literal (quotes,
+/// backslashes, control characters) — the repository's one escaper.
+using util::json_escape;
 
 }  // namespace solsched::obs::analysis

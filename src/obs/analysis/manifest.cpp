@@ -10,6 +10,7 @@
 
 #include "obs/analysis/json_mini.hpp"
 #include "obs/metrics.hpp"
+#include "util/byte_format.hpp"
 
 // POSIX environment vector; scanned for SOLSCHED_* knobs.
 extern char** environ;
@@ -30,9 +31,10 @@ namespace {
 /// Canonical double rendering for the digest: %.17g survives a round trip,
 /// so two configs differing in any bit digest differently.
 void feed(std::string& canon, const char* tag, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s=%.17g;", tag, value);
-  canon += buf;
+  canon += tag;
+  canon += '=';
+  canon += util::format_g17(value);
+  canon += ';';
 }
 
 void feed(std::string& canon, const char* tag, std::uint64_t value) {
@@ -40,15 +42,6 @@ void feed(std::string& canon, const char* tag, std::uint64_t value) {
   canon += '=';
   canon += std::to_string(value);
   canon += ';';
-}
-
-std::uint64_t fnv1a(const std::string& bytes) noexcept {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 /// Compiler identity without extra build plumbing: __VERSION__ carries the
@@ -102,7 +95,7 @@ std::uint64_t node_config_digest(const nvp::NodeConfig& config) {
   feed(canon, "restore_j", config.restore_energy_j);
   feed(canon, "volatile_baseline",
        static_cast<std::uint64_t>(config.volatile_baseline ? 1 : 0));
-  return fnv1a(canon);
+  return util::fnv1a(canon);
 }
 
 std::string manifest_json(const ManifestInfo& info) {

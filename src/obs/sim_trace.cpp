@@ -1,17 +1,12 @@
 #include "obs/sim_trace.hpp"
 
-#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/byte_format.hpp"
+
 namespace solsched::obs {
 namespace {
-
-std::string fmt_double(double x) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), x);
-  return ec == std::errc() ? std::string(buf, end) : std::string("0");
-}
 
 [[noreturn]] void malformed(const std::string& line, const char* what) {
   throw std::runtime_error("SimTrace::parse_jsonl: " + std::string(what) +
@@ -124,7 +119,7 @@ std::string SimTrace::to_jsonl() const {
       out += ",\"";
       out += key;
       out += "\":";
-      out += fmt_double(value);
+      out += util::format_shortest(value);
     }
     out += "}\n";
   }
@@ -143,7 +138,7 @@ std::string SimTrace::to_csv() const {
       out += ",";
       out += csv_cell(key);
       out += ",";
-      out += fmt_double(value);
+      out += util::format_shortest(value);
       out += "\n";
     }
   return out;

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <vector>
 
+#include "util/byte_format.hpp"
+
 namespace solsched::obs {
 namespace {
 
@@ -61,32 +63,6 @@ void record_trace_event(const char* name, std::uint64_t start_us,
 Counter& span_counter(const char* name, const char* suffix) {
   return MetricsRegistry::global().counter(std::string("span.") + name +
                                            suffix);
-}
-
-/// JSON string escaping for span labels: quotes, backslashes and control
-/// characters would otherwise break the emitted trace_event file.
-std::string json_escape_name(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -208,7 +184,7 @@ bool write_chrome_trace(const std::string& path) {
       std::fprintf(f,
                    "%s\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%zu,"
                    "\"ts\":%llu,\"dur\":%llu",
-                   i ? "," : "", json_escape_name(e.name).c_str(), e.tid,
+                   i ? "," : "", util::json_escape(e.name).c_str(), e.tid,
                    static_cast<unsigned long long>(e.ts_us),
                    static_cast<unsigned long long>(e.dur_us));
       // Trace-id args only on tagged spans: untagged span bytes stay
@@ -222,7 +198,7 @@ bool write_chrome_trace(const std::string& path) {
       std::fprintf(f,
                    "%s\n{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"%c\","
                    "\"pid\":1,\"tid\":%zu,\"ts\":%llu,\"id\":\"0x%llx\"%s}",
-                   i ? "," : "", json_escape_name(e.name).c_str(), e.ph,
+                   i ? "," : "", util::json_escape(e.name).c_str(), e.ph,
                    e.tid, static_cast<unsigned long long>(e.ts_us),
                    static_cast<unsigned long long>(e.id),
                    e.ph == 'f' ? ",\"bp\":\"e\"" : "");

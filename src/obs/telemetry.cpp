@@ -11,6 +11,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "util/byte_format.hpp"
 
 namespace solsched::obs {
 namespace {
@@ -20,37 +21,6 @@ constexpr const char* kStatusMagic = "solsched-campaign-status-v1";
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw std::runtime_error("telemetry " + path + ": " + what);
-}
-
-// obs is a leaf library — it cannot pull obs/analysis::json_escape — so the
-// bus carries its own minimal escaper for the few free-form fields it emits.
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
-std::string render_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
 }
 
 std::uint64_t wall_now_ms() {
@@ -65,11 +35,13 @@ std::uint64_t wall_now_ms() {
 std::string TelemetryEvent::to_json() const {
   std::string out = "{\"seq\": " + std::to_string(seq);
   out += ", \"ts_ms\": " + std::to_string(wall_ms);
-  out += ", \"type\": \"" + escape(type) + "\"";
+  out += ", \"type\": \"" + util::json_escape(type) + "\"";
   if (shard != kTelemetryNoShard)
     out += ", \"shard\": " + std::to_string(shard);
-  if (!workload.empty()) out += ", \"workload\": \"" + escape(workload) + "\"";
-  if (!detail.empty()) out += ", \"detail\": \"" + escape(detail) + "\"";
+  if (!workload.empty())
+    out += ", \"workload\": \"" + util::json_escape(workload) + "\"";
+  if (!detail.empty())
+    out += ", \"detail\": \"" + util::json_escape(detail) + "\"";
   out += "}";
   return out;
 }
@@ -105,9 +77,10 @@ TelemetryBus::TelemetryBus(Options options) : options_(std::move(options)) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (fresh) {
-      const std::string header = "{\"telemetry\": \"" + std::string(kMagic) +
-                                 "\", \"spec_digest\": \"" +
-                                 escape(options_.spec_digest) + "\"}\n";
+      const std::string header =
+          "{\"telemetry\": \"" + std::string(kMagic) +
+          "\", \"spec_digest\": \"" +
+          util::json_escape(options_.spec_digest) + "\"}\n";
       append_line_locked(header, /*sync=*/true);
     }
     write_status_locked();
@@ -326,7 +299,8 @@ std::string TelemetryBus::status_json_locked() const {
 
   std::string out = "{\n";
   out += "  \"status\": \"" + std::string(kStatusMagic) + "\",\n";
-  out += "  \"spec_digest\": \"" + escape(options_.spec_digest) + "\",\n";
+  out += "  \"spec_digest\": \"" + util::json_escape(options_.spec_digest) +
+         "\",\n";
   out += "  \"state\": \"" + state_ + "\",\n";
   out += "  \"wall_ms\": " + std::to_string(wall_now_ms()) + ",\n";
   out += "  \"elapsed_ms\": " + std::to_string(elapsed_us / 1000) + ",\n";
@@ -342,11 +316,11 @@ std::string TelemetryBus::status_json_locked() const {
          ", \"failed\": " + std::to_string(failed_) +
          ", \"stalled\": " + std::to_string(stalled_) + "},\n";
   out += "  \"cache\": {\"artifact_hits\": " + std::to_string(artifact_hits_) +
-         ", \"hit_rate\": " + render_double(hit_rate) +
+         ", \"hit_rate\": " + util::format_shortest(hit_rate) +
          ", \"trainings\": " + std::to_string(trainings_) + "},\n";
-  out += "  \"throughput_shards_per_min\": " + render_double(throughput) +
-         ",\n";
-  out += "  \"eta_s\": " + render_double(eta_s) + ",\n";
+  out += "  \"throughput_shards_per_min\": " +
+         util::format_shortest(throughput) + ",\n";
+  out += "  \"eta_s\": " + util::format_shortest(eta_s) + ",\n";
   out += "  \"workloads\": [";
   bool first = true;
   for (const std::string& name : workload_order_) {
@@ -366,11 +340,11 @@ std::string TelemetryBus::status_json_locked() const {
                   static_cast<double>(options_.threads > 0 ? options_.threads
                                                            : 1)
             : 0.0;
-    out += "{\"workload\": \"" + escape(name) + "\"";
+    out += "{\"workload\": \"" + util::json_escape(name) + "\"";
     out += ", \"total\": " + std::to_string(p.total);
     out += ", \"done\": " + std::to_string(p.done);
-    out += ", \"mean_shard_ms\": " + render_double(mean_ms);
-    out += ", \"eta_s\": " + render_double(w_eta_s);
+    out += ", \"mean_shard_ms\": " + util::format_shortest(mean_ms);
+    out += ", \"eta_s\": " + util::format_shortest(w_eta_s);
     out += "}";
   }
   out += "]\n}\n";

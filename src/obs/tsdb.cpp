@@ -10,26 +10,10 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "util/byte_format.hpp"
+
 namespace solsched::obs {
 namespace {
-
-/// Shortest round-trip decimal form of a double ("1", "0.125", "1e+30").
-std::string fmt_double(double x) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), x);
-  return ec == std::errc() ? std::string(buf, end) : std::string("0");
-}
-
-/// Metric names are dotted lowercase identifiers, but the writer escapes
-/// defensively anyway so a hostile registry name cannot tear a line.
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
 
 /// Counter delta against the previous sample. A counter that went backwards
 /// (registry reset between samples) clamps to zero instead of wrapping into
@@ -83,16 +67,35 @@ struct LineCursor {
     return true;
   }
 
+  /// Decodes exactly what util::append_json_escaped emits: \" \\ \n \r \t
+  /// and \u00XX for the other control characters.
   bool string(std::string* out) {
     if (p >= end || *p != '"') return false;
     ++p;
     out->clear();
     while (p < end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p >= end || (*p != '"' && *p != '\\')) return false;
+      if (*p != '\\') {
+        out->push_back(*p++);
+        continue;
       }
-      out->push_back(*p++);
+      if (++p >= end) return false;
+      switch (*p++) {
+        case '"': out->push_back('"'); break;
+        case '\\': out->push_back('\\'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
+        case 'u': {
+          unsigned code = 0;
+          if (end - p < 4) return false;
+          const auto [next, ec] = std::from_chars(p, p + 4, code, 16);
+          if (ec != std::errc() || next != p + 4 || code >= 0x80) return false;
+          out->push_back(static_cast<char>(code));
+          p += 4;
+          break;
+        }
+        default: return false;
+      }
     }
     if (p >= end) return false;
     ++p;  // Closing quote.
@@ -203,9 +206,12 @@ bool TimeseriesStore::write_jsonl(const std::string& path) const {
     line = "{\"t\":" + std::to_string(point.wall_ms) + ",\"v\":{";
     for (std::size_t k = 0; k < point.values.size(); ++k) {
       if (k) line += ',';
-      append_json_string(line, point.values[k].first);
-      line += ':';
-      line += fmt_double(point.values[k].second);
+      // Metric names are dotted lowercase identifiers, but the writer
+      // escapes defensively anyway so a hostile name cannot tear a line.
+      line += '"';
+      util::append_json_escaped(line, point.values[k].first);
+      line += "\":";
+      line += util::format_shortest(point.values[k].second);
     }
     line += "}}\n";
     ok = std::fwrite(line.data(), 1, line.size(), f) == line.size();

@@ -55,10 +55,6 @@ struct OptimalConfig {
   /// Optional externally owned cache, e.g. shared between the training
   /// oracle and a comparison run on the same trace. Null = private cache.
   std::shared_ptr<PeriodOptionCache> shared_cache;
-  /// Seed-faithful evaluation inside pareto_options: serial subset sweep
-  /// with full per-slot schedule recording. Only useful for benchmarking
-  /// against the pre-optimization behaviour.
-  bool legacy_eval = false;
 };
 
 /// Per-period decision recovered from the DP.

@@ -51,15 +51,8 @@ struct PeriodOptimizer::EvalScratch {
 PeriodEval PeriodOptimizer::evaluate(const std::vector<bool>& te,
                                      const std::vector<double>& solar_w,
                                      double capacity_f, double v0) const {
-  return evaluate_impl(te, solar_w, capacity_f, v0, /*record_slots=*/true);
-}
-
-PeriodEval PeriodOptimizer::evaluate_impl(const std::vector<bool>& te,
-                                          const std::vector<double>& solar_w,
-                                          double capacity_f, double v0,
-                                          bool record_slots) const {
   EvalScratch scratch(*this, capacity_f, solar_w);
-  return evaluate_with(te, solar_w, v0, record_slots, scratch);
+  return evaluate_with(te, solar_w, v0, /*record_slots=*/true, scratch);
 }
 
 PeriodEval PeriodOptimizer::evaluate_with(const std::vector<bool>& te,
@@ -156,8 +149,7 @@ std::vector<PeriodOption> PeriodOptimizer::pareto_options(
 
   // Per-subset summaries land in pre-sized slots; the reduction below runs
   // serially in subset order, so the winner per miss count (including the
-  // keep-the-earliest tie rule) matches the seed's serial sweep exactly,
-  // at any thread count.
+  // keep-the-earliest tie rule) is the same at any thread count.
   struct Summary {
     std::size_t misses = 0;
     double consumed_cap_j = 0.0;
@@ -166,33 +158,24 @@ std::vector<PeriodOption> PeriodOptimizer::pareto_options(
     double alpha = 0.0;
   };
   std::vector<Summary> evals(closed_.size());
-  if (fast_eval_) {
-    // Chunked fan-out: one EvalScratch per chunk (bank + state + buffers
-    // are expensive to build per subset), indices within a chunk evaluated
-    // serially against it. Results land in per-index slots, so the chunk
-    // geometry never changes the outcome.
-    const std::size_t n = closed_.size();
-    const std::size_t n_chunks =
-        std::max<std::size_t>(1, std::min(n, util::ThreadPool::global().size()));
-    util::parallel_for(n_chunks, [&](std::size_t c) {
-      EvalScratch scratch(*this, capacity_f, solar_w);
-      const std::size_t lo = c * n / n_chunks;
-      const std::size_t hi = (c + 1) * n / n_chunks;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const PeriodEval eval = evaluate_with(closed_[i], solar_w, v0,
-                                              /*record_slots=*/false, scratch);
-        evals[i] = Summary{eval.misses, eval.consumed_cap_j,
-                           eval.final_usable_j, eval.final_voltage_v,
-                           eval.alpha};
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < closed_.size(); ++i) {
-      const PeriodEval eval = evaluate(closed_[i], solar_w, capacity_f, v0);
+  // Chunked fan-out: one EvalScratch per chunk (bank + state + buffers are
+  // expensive to build per subset), indices within a chunk evaluated
+  // serially against it. Results land in per-index slots, so the chunk
+  // geometry never changes the outcome.
+  const std::size_t n = closed_.size();
+  const std::size_t n_chunks =
+      std::max<std::size_t>(1, std::min(n, util::ThreadPool::global().size()));
+  util::parallel_for(n_chunks, [&](std::size_t c) {
+    EvalScratch scratch(*this, capacity_f, solar_w);
+    const std::size_t lo = c * n / n_chunks;
+    const std::size_t hi = (c + 1) * n / n_chunks;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const PeriodEval eval = evaluate_with(closed_[i], solar_w, v0,
+                                            /*record_slots=*/false, scratch);
       evals[i] = Summary{eval.misses, eval.consumed_cap_j, eval.final_usable_j,
                          eval.final_voltage_v, eval.alpha};
     }
-  }
+  });
 
   for (std::size_t i = 0; i < closed_.size(); ++i) {
     const Summary& eval = evals[i];

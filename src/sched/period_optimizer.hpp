@@ -61,35 +61,25 @@ class PeriodOptimizer {
                       double v0) const;
 
   /// Evaluates every dependency-closed subset and returns, for each
-  /// achievable miss count, the option with the smallest E^c. Sorted by
+  /// achievable miss count, the option with the smallest E^c (ties: the
+  /// higher final usable energy, then the earliest subset). Sorted by
   /// ascending miss count.
   ///
-  /// With fast_eval (the default) the subset sweep skips per-slot schedule
-  /// recording (pareto_options never reads it) and fans the independent
-  /// subset evaluations out on util::parallel_for, reducing the per-subset
-  /// summaries serially in subset order — the selected options are
-  /// identical to the serial sweep at every thread count.
+  /// The sweep skips per-slot schedule recording (pareto_options never
+  /// reads it) and fans the independent subset evaluations out on
+  /// util::parallel_for, reducing the per-subset summaries serially in
+  /// subset order — the selected options equal those of a serial loop over
+  /// evaluate() at every thread count.
   std::vector<PeriodOption> pareto_options(const std::vector<double>& solar_w,
                                            double capacity_f, double v0) const;
-
-  /// Disables the fast sweep: pareto_options then runs the seed-era serial
-  /// loop over full evaluate() calls. Exists so benches can measure the
-  /// legacy offline pipeline in-binary; results are identical either way.
-  void set_fast_eval(bool fast) noexcept { fast_eval_ = fast; }
-  bool fast_eval() const noexcept { return fast_eval_; }
 
   const task::TaskGraph& graph() const noexcept { return *graph_; }
 
  private:
   /// Reusable per-evaluation state (capacitor bank, period state, decision
   /// buffers). Constructing these per subset dominates the sweep's profile,
-  /// so the fast path builds one scratch per chunk and resets it per eval.
+  /// so pareto_options builds one scratch per chunk and resets it per eval.
   struct EvalScratch;
-
-  PeriodEval evaluate_impl(const std::vector<bool>& te,
-                           const std::vector<double>& solar_w,
-                           double capacity_f, double v0,
-                           bool record_slots) const;
 
   /// Core evaluation against caller-owned scratch (fully reset inside, so
   /// reuse never changes results). scratch.bank must match capacity_f and
@@ -105,7 +95,6 @@ class PeriodOptimizer {
   double v_low_;
   double v_high_;
   double dt_s_;
-  bool fast_eval_ = true;
   std::vector<std::vector<bool>> closed_;  ///< Cached closed subsets.
 };
 

@@ -5,21 +5,10 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
+#include "util/byte_format.hpp"
 
 namespace solsched::sched {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t word) noexcept {
-  // Byte-wise FNV-1a over the 8 bytes of `word`.
-  for (int b = 0; b < 8; ++b) {
-    h ^= (word >> (8 * b)) & 0xffu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 inline std::uint64_t bits_of(double x) noexcept {
   // Collapse -0.0 onto +0.0 so numerically equal keys hash equally.
@@ -34,11 +23,11 @@ PeriodOptionCache::PeriodOptionCache(std::size_t max_entries)
 
 std::uint64_t PeriodOptionCache::hash_solar(const std::vector<double>& solar_w,
                                             double capacity_f, double v0) {
-  std::uint64_t h = kFnvOffset;
-  for (double s : solar_w) h = fnv_mix(h, bits_of(s));
-  h = fnv_mix(h, bits_of(capacity_f));
-  h = fnv_mix(h, bits_of(v0));
-  return h;
+  // Only picks the bucket: Key equality compares the full key.
+  std::uint64_t h = util::kFnv1aOffsetBasis;
+  for (double s : solar_w) h = util::fnv1a_u64(h, bits_of(s));
+  h = util::fnv1a_u64(h, bits_of(capacity_f));
+  return util::fnv1a_u64(h, bits_of(v0));
 }
 
 std::size_t PeriodOptionCache::KeyHash::operator()(

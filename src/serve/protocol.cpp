@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/byte_format.hpp"
+
 namespace solsched::serve {
 namespace {
 
@@ -147,12 +149,7 @@ std::uint64_t derive_trace_id(std::uint64_t seed, std::uint64_t n) noexcept {
 
 std::uint64_t payload_fnv1a(const std::uint8_t* data,
                             std::size_t size) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+  return util::fnv1a(data, size, kPayloadHashBasis);
 }
 
 FrameVerdict decode_header(const std::uint8_t* data, std::size_t size,

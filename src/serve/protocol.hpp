@@ -164,7 +164,14 @@ struct FrameHeader {
   std::uint64_t payload_hash = 0;
 };
 
-/// FNV-1a over the payload bytes (the header's integrity field).
+/// Offset basis of the frame's payload hash. This is a frozen wire format,
+/// NOT the standard FNV-1a 64-bit basis (14695981039346656037): the value
+/// shipped with its last digit missing, and every v1/v2 encoder and decoder
+/// hashes with it, so "correcting" it would break the wire.
+inline constexpr std::uint64_t kPayloadHashBasis = 1469598103934665603ull;
+
+/// FNV-1a (from kPayloadHashBasis) over the payload bytes — the header's
+/// integrity field.
 std::uint64_t payload_fnv1a(const std::uint8_t* data, std::size_t size) noexcept;
 
 /// Validates the fixed header at `data`. Returns kNeedMore when fewer than

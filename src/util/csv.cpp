@@ -1,8 +1,9 @@
 #include "util/csv.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "util/byte_format.hpp"
 
 namespace solsched::util {
 namespace {
@@ -30,11 +31,7 @@ void CsvWriter::add_row(std::vector<std::string> row) {
 void CsvWriter::add_row(const std::vector<double>& row) {
   std::vector<std::string> cells;
   cells.reserve(row.size());
-  for (double v : row) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    cells.emplace_back(buf);
-  }
+  for (double v : row) cells.push_back(format_g6(v));
   rows_.push_back(std::move(cells));
 }
 

@@ -42,17 +42,6 @@ TEST(Matrix, SizeMismatchThrows) {
   Matrix m(2, 3);
   EXPECT_THROW(m.multiply({1.0}), std::invalid_argument);
   EXPECT_THROW(m.multiply_transposed({1.0, 2.0, 3.0}), std::invalid_argument);
-  EXPECT_THROW(m.add_outer({1.0}, {1.0, 2.0, 3.0}, 1.0),
-               std::invalid_argument);
-}
-
-TEST(Matrix, AddOuter) {
-  Matrix m(2, 2);
-  m.add_outer({1.0, 2.0}, {3.0, 4.0}, 0.5);
-  EXPECT_DOUBLE_EQ(m(0, 0), 1.5);
-  EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
-  EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
 }
 
 TEST(Matrix, AddScaledAndScale) {

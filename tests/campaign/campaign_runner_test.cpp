@@ -220,5 +220,22 @@ TEST_F(CampaignRunner, RerunOfFinishedCampaignExecutesNothing) {
   EXPECT_EQ(aggregate_json(again.records), aggregate_json(first.records));
 }
 
+// Golden pin for a fixed one-shard spec: the artifact-cache key (the entry's
+// file name) and the controller's predict_batch fingerprint are on disk in
+// every cache directory and journal, so a hash refactor must not move them.
+TEST_F(CampaignRunner, ArtifactKeyAndControllerFingerprintArePinned) {
+  CampaignConfig config;
+  config.spec = CampaignSpec::parse("workloads=ecg;seeds=1;intensities=0;" +
+                                    std::string(kSharedKnobs));
+  config.dir = fresh_dir("camp_golden");
+  config.cache_dir = fresh_dir("camp_golden_cache");
+  const CampaignResult result = run_campaign(config);
+  ASSERT_EQ(result.records.size(), 1u);
+  EXPECT_EQ(result.records[0].artifact_key, 0xf9ebf1a782f586edull);
+  EXPECT_EQ(result.records[0].controller_fingerprint, 0x9f603f10d1fef136ull);
+  EXPECT_TRUE(std::filesystem::exists(config.cache_dir +
+                                      "/f9ebf1a782f586ed.controller"));
+}
+
 }  // namespace
 }  // namespace solsched::campaign

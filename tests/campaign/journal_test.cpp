@@ -132,5 +132,24 @@ TEST(Journal, MissingFileIsFatal) {
                std::runtime_error);
 }
 
+// Golden pin: the exact bytes of one journal line (%.17g doubles, quoted
+// hex u64s, fixed key order). Journals on disk must stay readable and
+// byte-comparable across refactors of the shared formatters.
+TEST(Journal, RenderedRecordLineIsPinned) {
+  EXPECT_EQ(sample_record(3).to_json(),
+            "{\"shard\": 3, \"key\": \"ecg/s3/i0.5\", \"workload\": \"ecg\", "
+            "\"seed\": 3, \"intensity\": 0.5, \"artifact_key\": 3735928559, "
+            "\"artifact_hit\": false, "
+            "\"controller_fp\": \"fedcba9876543213\", "
+            "\"rows\": [{\"algo\": \"Proposed\", "
+            "\"dmr\": 0.062500000000000028, "
+            "\"energy_utilization\": 0.71234567890123457, "
+            "\"migration_efficiency\": 0.5, \"brownouts\": 3, "
+            "\"solar_j\": 1234.5678901234567, "
+            "\"served_j\": 333.33333333333331, "
+            "\"loss_j\": 7.25, \"power_failure_slots\": 11, "
+            "\"fallbacks\": 2}]}");
+}
+
 }  // namespace
 }  // namespace solsched::campaign

@@ -89,5 +89,21 @@ TEST(CampaignSpec, GeneratorScalesDayWindowToGrid) {
   EXPECT_GT(trace.total_energy_j(), 0.0);
 }
 
+// Golden pin: canonical() is stamped (via digest()) into every journal
+// header, so its bytes — %.17g intensities included — and the FNV-1a digest
+// over them must never move under a formatter or hash refactor.
+TEST(CampaignSpec, CanonicalFormAndDigestArePinned) {
+  const CampaignSpec spec = CampaignSpec::parse(
+      "workloads=ecg,wam;seeds=1..2;intensities=0,0.1,1.5;fault=blackout=2;"
+      "schedulers=inter,proposed;periods=12;slots=10;days=1;train_days=1;"
+      "n_caps=2;dp_buckets=6;pretrain_epochs=2;finetune_epochs=10");
+  EXPECT_EQ(spec.canonical(),
+            "workloads=ecg,wam;seeds=1,2;intensities=0,0.10000000000000001,1.5;"
+            "schedulers=inter,proposed;fault=blackout=2;days=1;day0=clear;"
+            "train_days=1;train_seed=2015;n_caps=2;periods=12;slots=10;dt=30;"
+            "dp_buckets=6;pretrain_epochs=2;finetune_epochs=10");
+  EXPECT_EQ(spec.digest(), 0x89283172b6f0c8caull);
+}
+
 }  // namespace
 }  // namespace solsched::campaign

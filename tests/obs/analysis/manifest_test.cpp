@@ -119,5 +119,11 @@ TEST(Manifest, WriteManifestRoundTripsAndThrowsOnBadPath) {
                std::runtime_error);
 }
 
+// Golden pin: the paper node's digest feeds every artifact-cache key, so
+// the canonical rendering and hash behind it must never move.
+TEST(NodeConfigDigest, PaperNodeDigestIsPinned) {
+  EXPECT_EQ(node_config_digest(nvp::NodeConfig{}), 0x91c229b0e194db31ull);
+}
+
 }  // namespace
 }  // namespace solsched::obs::analysis

@@ -147,6 +147,8 @@ TEST(TimeseriesStore, HostileMetricNamesCannotTearALine) {
   TimeseriesStore store(2);
   MetricsSnapshot s;
   s.counters.emplace_back("evil\"name\\with\"quotes", 7);
+  s.counters.emplace_back("a\nb", 8);
+  s.counters.emplace_back("ctl\x01.tab\t.cr\r", 9);
   store.sample(500, s);
   ASSERT_TRUE(store.write_jsonl(path));
   std::vector<TimeseriesPoint> points;
@@ -154,6 +156,8 @@ TEST(TimeseriesStore, HostileMetricNamesCannotTearALine) {
   ASSERT_TRUE(TimeseriesStore::read_jsonl(path, &points, &error)) << error;
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].value_or("evil\"name\\with\"quotes"), 7.0);
+  EXPECT_EQ(points[0].value_or("a\nb"), 8.0);
+  EXPECT_EQ(points[0].value_or("ctl\x01.tab\t.cr\r"), 9.0);
 }
 
 }  // namespace

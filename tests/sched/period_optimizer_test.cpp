@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "../test_helpers.hpp"
+#include "util/thread_pool.hpp"
 
 namespace solsched::sched {
 namespace {
@@ -124,6 +127,85 @@ TEST(PeriodOptimizer, DependencyChainScheduledInOrder) {
     }
   }
   EXPECT_LT(first1, solar.size());
+}
+
+// pareto_options is the parallel, scratch-reusing sweep. Its contract is
+// that it selects exactly what a serial loop over evaluate() selects: for
+// each miss count, the smallest E^c (within 1e-12), ties to the higher
+// final usable energy, remaining ties to the earliest subset. The reference
+// below enumerates the dependency-closed subsets itself, in ascending mask
+// order, and must match bit for bit at 1 and 4 threads.
+std::vector<PeriodOption> serial_reference(const PeriodOptimizer& opt,
+                                           const std::vector<double>& solar,
+                                           double capacity_f, double v0) {
+  const task::TaskGraph& graph = opt.graph();
+  const std::size_t n = graph.size();
+  std::vector<PeriodOption> best(n + 1);
+  std::vector<bool> seen(n + 1, false);
+  for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
+    std::vector<bool> te(n);
+    for (std::size_t i = 0; i < n; ++i) te[i] = (mask >> i) & 1u;
+    bool closed = true;
+    for (const task::Edge& e : graph.edges())
+      if (te[e.to] && !te[e.from]) closed = false;
+    if (!closed) continue;
+    const PeriodEval eval = opt.evaluate(te, solar, capacity_f, v0);
+    const std::size_t k = eval.misses;
+    const bool better =
+        !seen[k] || eval.consumed_cap_j < best[k].consumed_cap_j - 1e-12 ||
+        (std::fabs(eval.consumed_cap_j - best[k].consumed_cap_j) <= 1e-12 &&
+         eval.final_usable_j > best[k].final_usable_j);
+    if (!better) continue;
+    seen[k] = true;
+    best[k] = PeriodOption{k,
+                           eval.consumed_cap_j,
+                           eval.final_usable_j,
+                           eval.final_voltage_v,
+                           eval.alpha,
+                           te};
+  }
+  std::vector<PeriodOption> out;
+  for (std::size_t k = 0; k <= n; ++k)
+    if (seen[k]) out.push_back(best[k]);
+  return out;
+}
+
+TEST(PeriodOptimizer, ParetoEqualsSerialEvaluateReductionAtAnyThreadCount) {
+  // Fork-join plus an independent task: 0 -> {1, 2}, 3 free.
+  const task::TaskGraph graph(
+      "fork4",
+      {{0, "root", 150.0, 60.0, 0.020, 0},
+       {1, "left", 240.0, 60.0, 0.015, 0},
+       {2, "right", 300.0, 90.0, 0.010, 1},
+       {3, "free", 300.0, 30.0, 0.025, 1}},
+      {{0, 1}, {0, 2}});
+  const auto opt = make_optimizer(graph);
+  std::vector<double> ramp(10);
+  for (std::size_t m = 0; m < ramp.size(); ++m)
+    ramp[m] = 0.004 * static_cast<double>(m);
+  const std::vector<std::vector<double>> solars = {
+      std::vector<double>(10, 0.0), std::vector<double>(10, 0.02), ramp,
+      std::vector<double>(10, 0.2)};
+
+  for (std::size_t threads : {1u, 4u}) {
+    util::ThreadPool::set_global_threads(threads);
+    for (const auto& solar : solars)
+      for (double v0 : {0.5, 1.2, 3.0}) {
+        const auto expect = serial_reference(opt, solar, 10.0, v0);
+        const auto got = opt.pareto_options(solar, 10.0, v0);
+        ASSERT_EQ(got.size(), expect.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].misses, expect[i].misses);
+          EXPECT_EQ(got[i].consumed_cap_j, expect[i].consumed_cap_j);
+          EXPECT_EQ(got[i].final_usable_j, expect[i].final_usable_j);
+          EXPECT_EQ(got[i].final_voltage_v, expect[i].final_voltage_v);
+          EXPECT_EQ(got[i].alpha, expect[i].alpha);
+          EXPECT_EQ(got[i].te, expect[i].te);
+        }
+      }
+  }
+  util::ThreadPool::set_global_threads(
+      util::ThreadPool::thread_count_from_env());
 }
 
 }  // namespace

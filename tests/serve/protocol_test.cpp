@@ -322,5 +322,14 @@ TEST(Protocol, FuzzThousandHostileFramesNeverCrash) {
   EXPECT_LE(accepted, 1000u);
 }
 
+// Golden pin: the frame hash is a frozen wire format (its basis is not the
+// standard FNV-1a offset basis), so these values must never move.
+TEST(Protocol, PayloadHashIsPinned) {
+  EXPECT_EQ(payload_fnv1a(nullptr, 0), 1469598103934665603ull);
+  const std::uint8_t bytes[] = {'s', 'o', 'l', 's', 'c', 'h', 'e', 'd',
+                                0x00, 0x7F, 0x80, 0xFF};
+  EXPECT_EQ(payload_fnv1a(bytes, sizeof(bytes)), 0xe2f0545e8ba39edaull);
+}
+
 }  // namespace
 }  // namespace solsched::serve
