@@ -13,9 +13,9 @@
 # spec-axis/registry drift), a
 # SOLSCHED_SIMD=OFF scalar-fallback build with a cross-build
 # controller-decision check, plus the concurrency/obs/telemetry/serve/
-# tsdb/sched suites rerun under ThreadSanitizer, the fault suite rerun
-# under UndefinedBehaviorSanitizer, and the simd parity suite rerun under
-# AddressSanitizer+UBSan.
+# tsdb/sched/durable suites rerun under ThreadSanitizer, the fault suite
+# rerun under UndefinedBehaviorSanitizer, and the simd parity, campaign and
+# durable-file suites rerun under AddressSanitizer+UBSan.
 #
 #   scripts/tier1.sh [build-dir] [tsan-build-dir] [ubsan-build-dir] [scalar-build-dir] [asan-build-dir]
 #
@@ -23,12 +23,13 @@
 # full ctest); the scalar phase proves the kernel layer's bit-exactness
 # contract end to end (identical campaign decision fingerprints on the wam
 # and ecg workloads from both builds); the TSan phase rebuilds only to run
-# `ctest -L "concurrency|obs"` — the two label families with real
-# cross-thread traffic; the UBSan phase runs `ctest -L fault` — the
-# injection paths push NaN and out-of-range values through the decoders,
-# exactly where UB would hide; the ASan+UBSan phase runs `ctest -L simd` —
-# the vector kernels' tails and pack buffers are exactly where an
-# out-of-bounds lane would hide.
+# the label families with real cross-thread traffic; the UBSan phase runs
+# `ctest -L fault` — the injection paths push NaN and out-of-range values
+# through the decoders, exactly where UB would hide; the ASan+UBSan phase
+# runs `ctest -L "simd|campaign|durable"` — the vector kernels' tails and
+# pack buffers are exactly where an out-of-bounds lane would hide, and the
+# journal/artifact readers and the durable-file crash drill are where a
+# torn input meets a parser.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -240,23 +241,25 @@ SOLSCHED_THREADS=1 "$SCALAR_DIR/tools/solsched-campaign" run \
 cmp "$XBUILD_TMP/simd/journal.jsonl" "$XBUILD_TMP/scalar/journal.jsonl"
 echo "scalar and SIMD builds journal bit-identical wam+ecg decisions"
 
-echo "== tier 1: TSan rerun of concurrency + obs + telemetry + serve + tsdb + sched ($TSAN_DIR) =="
+echo "== tier 1: TSan rerun of concurrency + obs + telemetry + serve + tsdb + sched + durable ($TSAN_DIR) =="
 # sched rides along because the registry is consulted concurrently from
 # every comparison job and the zoo suite runs 4-thread sweeps — exactly
-# where a mutable-registry regression would race.
+# where a mutable-registry regression would race; durable because its
+# drill stores one artifact key from two threads while a third loads it.
 cmake -B "$TSAN_DIR" -S . -DSOLSCHED_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS"
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -L "concurrency|obs|telemetry|serve|tsdb|sched"
+  -L "concurrency|obs|telemetry|serve|tsdb|sched|durable"
 
 echo "== tier 1: UBSan rerun of fault suite ($UBSAN_DIR) =="
 cmake -B "$UBSAN_DIR" -S . -DSOLSCHED_SANITIZE=undefined
 cmake --build "$UBSAN_DIR" -j "$JOBS"
 ctest --test-dir "$UBSAN_DIR" --output-on-failure -j "$JOBS" -L fault
 
-echo "== tier 1: ASan+UBSan rerun of simd suite ($ASAN_DIR) =="
+echo "== tier 1: ASan+UBSan rerun of simd + campaign + durable suites ($ASAN_DIR) =="
 cmake -B "$ASAN_DIR" -S . -DSOLSCHED_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$JOBS"
-ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" -L simd
+ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
+  -L "simd|campaign|durable"
 
 echo "tier 1 passed"

@@ -1,8 +1,5 @@
 #include "campaign/artifact_cache.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/controller_io.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::campaign {
 
@@ -48,26 +46,7 @@ bool ArtifactCache::load(std::uint64_t key, core::TrainedController* out) const 
 
 void ArtifactCache::store(std::uint64_t key,
                           const core::TrainedController& controller) const {
-  const std::string path = path_of(key);
-  const std::string tmp = path + ".tmp";
-  const std::string text = core::serialize_controller(controller);
-  {
-    std::ofstream file(tmp, std::ios::trunc);
-    if (!file || !(file << text) || !file.flush())
-      throw std::runtime_error("ArtifactCache: cannot write " + tmp);
-  }
-  // fsync the finished tmp file before rename: rename-then-crash must never
-  // publish an empty or partially flushed artifact under the final name.
-  const int fd = ::open(tmp.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw std::runtime_error("ArtifactCache: cannot rename " + tmp + ": " +
-                             ec.message());
+  util::atomic_replace(path_of(key), core::serialize_controller(controller));
 }
 
 }  // namespace solsched::campaign

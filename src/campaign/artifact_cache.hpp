@@ -5,9 +5,10 @@
 // not once per scenario — in the paper's grids the offline pipeline is by
 // far the dominant cost. The cache key is a 64-bit FNV-1a digest built from
 // the PR-4 NodeConfig digest plus the workload and every training knob; the
-// value is the core::serialize_controller bundle, written atomically
-// (tmp + fsync + rename) so a crash mid-store never leaves a readable
-// half-artifact.
+// value is the core::serialize_controller bundle, published with
+// util::atomic_replace (DESIGN.md §19), so a crash mid-store never leaves a
+// readable half-artifact and two campaigns sharing the directory never
+// share a temp file.
 //
 // Determinism note: the campaign runner uses the *deserialized* controller
 // even right after training one (store then load back). The serialized
@@ -35,7 +36,7 @@ class ArtifactCache {
   /// caller retrains and overwrites), with a one-line stderr warning.
   bool load(std::uint64_t key, core::TrainedController* out) const;
 
-  /// Atomically stores `controller` under `key` (tmp file, fsync, rename).
+  /// Atomically stores `controller` under `key` (util::atomic_replace).
   /// Throws std::runtime_error on I/O failure.
   void store(std::uint64_t key, const core::TrainedController& controller) const;
 

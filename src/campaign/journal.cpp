@@ -1,17 +1,13 @@
 #include "campaign/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
 #include "util/byte_format.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::campaign {
 namespace {
@@ -84,48 +80,27 @@ std::string ShardRecord::to_json() const {
 
 Journal::Recovered Journal::load(const std::string& path,
                                  std::uint64_t expected_spec_digest) {
-  std::ifstream file(path);
-  if (!file) fail(path, "cannot open");
+  const obs::analysis::JsonlLog log = obs::analysis::parse_jsonl_log(
+      obs::analysis::read_file(path), "journal " + path);
   Recovered out;
-  std::string line;
-  std::size_t line_no = 0;
-  bool header_seen = false;
-  // A crash can only truncate the *last* line (appends are sequential and
-  // fsync'd), so a parse failure is forgiven exactly once, at EOF.
-  std::vector<std::pair<std::size_t, std::string>> failed;
-  while (std::getline(file, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    obs::analysis::JsonValue doc;
-    try {
-      doc = obs::analysis::parse_json(line);
-    } catch (const std::exception& e) {
-      failed.emplace_back(line_no, e.what());
-      continue;
+  out.dropped_partial = log.dropped_partial;
+  if (log.has_header) {
+    if (log.header.string_or("journal") != kMagic)
+      fail(path, "missing or unknown header (expected \"" +
+                     std::string(kMagic) + "\")");
+    if (expected_spec_digest != 0) {
+      const std::string digest =
+          require_string(log.header, "spec_digest", path);
+      char expect[32];
+      std::snprintf(expect, sizeof(expect), "%016llx",
+                    static_cast<unsigned long long>(expected_spec_digest));
+      if (digest != expect)
+        fail(path, "spec digest mismatch: journal has " + digest +
+                       ", campaign spec is " + expect +
+                       " (refusing to mix results of different grids)");
     }
-    if (!failed.empty())
-      fail(path, "malformed line " + std::to_string(failed.front().first) +
-                     " before valid line " + std::to_string(line_no) + " (" +
-                     failed.front().second + ")");
-    if (!doc.is_object()) fail(path, "line " + std::to_string(line_no) +
-                                         " is not an object");
-    if (!header_seen) {
-      if (doc.string_or("journal") != kMagic)
-        fail(path, "missing or unknown header (expected \"" +
-                       std::string(kMagic) + "\")");
-      if (expected_spec_digest != 0) {
-        const std::string digest = require_string(doc, "spec_digest", path);
-        char expect[32];
-        std::snprintf(expect, sizeof(expect), "%016llx",
-                      static_cast<unsigned long long>(expected_spec_digest));
-        if (digest != expect)
-          fail(path, "spec digest mismatch: journal has " + digest +
-                         ", campaign spec is " + expect +
-                         " (refusing to mix results of different grids)");
-      }
-      header_seen = true;
-      continue;
-    }
+  }
+  for (const auto& [line_no, doc] : log.records) {
     ShardRecord rec;
     rec.shard = static_cast<std::size_t>(require_number(doc, "shard", path));
     rec.key = require_string(doc, "key", path);
@@ -161,17 +136,6 @@ Journal::Recovered Journal::load(const std::string& path,
     }
     out.records.push_back(std::move(rec));
   }
-  if (!header_seen && !failed.empty()) {
-    // Even the header can be cut short by a crash between open and fsync.
-    out.dropped_partial = failed.size();
-    failed.clear();
-  }
-  if (!failed.empty()) {
-    if (failed.size() > 1)
-      fail(path, "multiple malformed lines (first at line " +
-                     std::to_string(failed.front().first) + ")");
-    out.dropped_partial = 1;  // The crash-truncated tail; recoverable.
-  }
   std::sort(out.records.begin(), out.records.end(),
             [](const ShardRecord& a, const ShardRecord& b) {
               return a.shard < b.shard;
@@ -184,55 +148,14 @@ Journal::Recovered Journal::load(const std::string& path,
 }
 
 Journal::Journal(const std::string& path, std::uint64_t spec_digest)
-    : path_(path) {
-  // Heal a crash-torn tail before appending. Every complete record ends in
-  // '\n', so bytes after the last newline are a partial line; appending onto
-  // them would glue the next record into unparseable mid-file garbage.
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (probe) {
-      std::ostringstream buf;
-      buf << probe.rdbuf();
-      const std::string bytes = buf.str();
-      const std::size_t cut = bytes.find_last_of('\n');
-      if (!bytes.empty() && cut != bytes.size() - 1) {
-        const off_t keep =
-            cut == std::string::npos ? 0 : static_cast<off_t>(cut + 1);
-        if (::truncate(path.c_str(), keep) != 0)
-          fail(path, "cannot truncate torn tail");
-      }
-    }
-  }
-  const bool fresh = [&] {
-    std::ifstream probe(path);
-    return !probe || probe.peek() == std::ifstream::traits_type::eof();
-  }();
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) fail(path, "cannot open for append");
-  if (fresh) {
-    char digest[32];
-    std::snprintf(digest, sizeof(digest), "%016llx",
-                  static_cast<unsigned long long>(spec_digest));
-    const std::string header = "{\"journal\": \"" + std::string(kMagic) +
-                               "\", \"spec_digest\": \"" + digest + "\"}\n";
-    if (::write(fd_, header.data(), header.size()) !=
-        static_cast<ssize_t>(header.size()))
-      fail(path, "cannot write header");
-    ::fsync(fd_);
-  }
-}
-
-Journal::~Journal() {
-  if (fd_ >= 0) ::close(fd_);
-}
+    : log_(path, "{\"journal\": \"" + std::string(kMagic) +
+                     "\", \"spec_digest\": " + render_hex64(spec_digest) +
+                     "}") {}
 
 void Journal::append(const ShardRecord& record) {
-  const std::string line = record.to_json() + "\n";
+  const std::string line = record.to_json();
   std::lock_guard<std::mutex> lock(mutex_);
-  if (::write(fd_, line.data(), line.size()) !=
-      static_cast<ssize_t>(line.size()))
-    fail(path_, "short write");
-  if (::fsync(fd_) != 0) fail(path_, "fsync failed");
+  log_.append(line, /*sync=*/true);
 }
 
 }  // namespace solsched::campaign

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "util/durable.hpp"
+
 namespace solsched::campaign {
 
 /// One policy row of one scenario, as journaled.
@@ -74,25 +76,20 @@ class Journal {
   static Recovered load(const std::string& path,
                         std::uint64_t expected_spec_digest);
 
-  /// Opens `path` for appending, first truncating any crash-torn partial
-  /// final line (bytes past the last '\n') so new records never glue onto
-  /// it, then writing (and fsync'ing) the header line when the file is new
+  /// Opens `path` as a util::AppendLog: a crash-torn partial final line
+  /// (bytes past the last '\n') is truncated so new records never glue onto
+  /// it, and the header line is written (and fsync'd) when the file is new
   /// or empty. Throws std::runtime_error on I/O error.
   Journal(const std::string& path, std::uint64_t spec_digest);
-  ~Journal();
-
-  Journal(const Journal&) = delete;
-  Journal& operator=(const Journal&) = delete;
 
   /// Appends one record and fsyncs. Safe to call from pool workers.
   void append(const ShardRecord& record);
 
-  const std::string& path() const noexcept { return path_; }
+  const std::string& path() const noexcept { return log_.path(); }
 
  private:
-  std::string path_;
-  std::mutex mutex_;
-  int fd_ = -1;
+  util::AppendLog log_;
+  std::mutex mutex_;  ///< Serializes pool workers' appends.
 };
 
 }  // namespace solsched::campaign

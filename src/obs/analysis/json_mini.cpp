@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 namespace solsched::obs::analysis {
@@ -222,6 +224,57 @@ std::string JsonValue::string_or(const std::string& key,
 
 JsonValue parse_json(const std::string& text) {
   return Parser(text).parse_document();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw std::runtime_error("cannot read " + path);
+  std::ostringstream body;
+  body << file.rdbuf();
+  return body.str();
+}
+
+JsonlLog parse_jsonl_log(const std::string& text, const std::string& name) {
+  JsonlLog out;
+  std::size_t failed_line = 0;  // First malformed line; 0 = none yet.
+  std::string failed_what;
+  std::istringstream stream(text);
+  std::string line;
+  for (std::size_t line_no = 1; std::getline(stream, line); ++line_no) {
+    if (line.empty()) continue;
+    JsonValue doc;
+    try {
+      // getline hit EOF before a '\n': AppendLog truncates such a line on
+      // reopen, so counting it here would count a record the next append
+      // erases.
+      if (stream.eof()) throw std::runtime_error("unterminated final line");
+      doc = parse_json(line);
+    } catch (const std::exception& e) {
+      if (failed_line != 0)
+        throw std::runtime_error(name + ": multiple malformed lines (first "
+                                 "at line " + std::to_string(failed_line) +
+                                 ")");
+      failed_line = line_no;
+      failed_what = e.what();
+      continue;
+    }
+    if (failed_line != 0)
+      throw std::runtime_error(
+          name + ": malformed line " + std::to_string(failed_line) +
+          " before valid line " + std::to_string(line_no) + " (" +
+          failed_what + ")");
+    if (!doc.is_object())
+      throw std::runtime_error(name + ": line " + std::to_string(line_no) +
+                               " is not an object");
+    if (!out.has_header) {
+      out.has_header = true;
+      out.header = std::move(doc);
+    } else {
+      out.records.push_back({line_no, std::move(doc)});
+    }
+  }
+  out.dropped_partial = failed_line != 0 ? 1 : 0;
+  return out;
 }
 
 }  // namespace solsched::obs::analysis

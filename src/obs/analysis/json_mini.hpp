@@ -48,6 +48,29 @@ struct JsonValue {
 /// rejected). Throws std::runtime_error with the byte offset on error.
 JsonValue parse_json(const std::string& text);
 
+/// Reads a whole file as bytes. Throws std::runtime_error when it cannot.
+std::string read_file(const std::string& path);
+
+/// A parsed util::AppendLog file: a header object, then record objects.
+struct JsonlLog {
+  struct Record {
+    std::size_t line_no = 0;  ///< 1-based.
+    JsonValue doc;
+  };
+  bool has_header = false;  ///< False for an empty or torn-header log.
+  JsonValue header;
+  std::vector<Record> records;
+  std::size_t dropped_partial = 0;  ///< 1 when a torn final line was cut.
+};
+
+/// Parses an append log's text, skipping empty lines. A crash tears only
+/// the final line, so one malformed line is forgiven, only at EOF, header
+/// or not; a final line without its '\n' counts as torn, since AppendLog
+/// truncates it on reopen. Anything else malformed, or a non-object line,
+/// throws std::runtime_error prefixed with `name`. Magic, digest and field
+/// checks are the caller's.
+JsonlLog parse_jsonl_log(const std::string& text, const std::string& name);
+
 /// Escapes a string for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters) — the repository's one escaper.
 using util::json_escape;

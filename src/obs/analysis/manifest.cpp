@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
 #include "obs/metrics.hpp"
 #include "util/byte_format.hpp"
+#include "util/durable.hpp"
 
 // POSIX environment vector; scanned for SOLSCHED_* knobs.
 extern char** environ;
@@ -156,9 +156,7 @@ std::string manifest_json(const ManifestInfo& info) {
 }
 
 void write_manifest(const std::string& path, const ManifestInfo& info) {
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("cannot write manifest: " + path);
-  file << manifest_json(info);
+  util::atomic_replace(path, manifest_json(info));
 }
 
 }  // namespace solsched::obs::analysis

@@ -184,41 +184,18 @@ std::map<std::string, std::size_t> TelemetryLog::census() const {
 }
 
 TelemetryLog load_telemetry(const std::string& text) {
+  const JsonlLog log = parse_jsonl_log(text, "telemetry.jsonl");
   TelemetryLog out;
-  std::istringstream stream(text);
-  std::string line;
-  std::size_t line_no = 0;
-  bool header_seen = false;
-  // Same forgiveness contract as the Journal: appends are sequential and
-  // fsync'd, so only the *last* line can be torn by a crash.
-  std::vector<std::pair<std::size_t, std::string>> failed;
-  while (std::getline(stream, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue doc;
-    try {
-      doc = parse_json(line);
-    } catch (const std::exception& e) {
-      failed.emplace_back(line_no, e.what());
-      continue;
-    }
-    if (!failed.empty())
+  out.dropped_partial = log.dropped_partial;
+  if (log.has_header) {
+    if (log.header.string_or("telemetry") != kTelemetryMagic)
       throw std::runtime_error(
-          "telemetry.jsonl: malformed line " +
-          std::to_string(failed.front().first) + " before valid line " +
-          std::to_string(line_no) + " (" + failed.front().second + ")");
-    if (!doc.is_object())
-      throw std::runtime_error("telemetry.jsonl: line " +
-                               std::to_string(line_no) + " is not an object");
-    if (!header_seen) {
-      if (doc.string_or("telemetry") != kTelemetryMagic)
-        throw std::runtime_error(
-            "telemetry.jsonl: missing or unknown header (expected \"" +
-            std::string(kTelemetryMagic) + "\")");
-      out.spec_digest = doc.string_or("spec_digest");
-      header_seen = true;
-      continue;
-    }
+          "telemetry.jsonl: missing or unknown header (expected \"" +
+          std::string(kTelemetryMagic) + "\")");
+    out.spec_digest = log.header.string_or("spec_digest");
+  }
+  for (const JsonlLog::Record& record : log.records) {
+    const JsonValue& doc = record.doc;
     TelemetryLine entry;
     entry.seq = static_cast<std::uint64_t>(doc.number_or("seq"));
     entry.wall_ms = static_cast<std::uint64_t>(doc.number_or("ts_ms"));
@@ -231,18 +208,6 @@ TelemetryLog load_telemetry(const std::string& text) {
     entry.workload = doc.string_or("workload");
     entry.detail = doc.string_or("detail");
     out.lines.push_back(std::move(entry));
-  }
-  if (!header_seen && !failed.empty()) {
-    // Even the header can be cut short by a crash between open and fsync.
-    out.dropped_partial = failed.size();
-    failed.clear();
-  }
-  if (!failed.empty()) {
-    if (failed.size() > 1)
-      throw std::runtime_error(
-          "telemetry.jsonl: multiple malformed lines (first at line " +
-          std::to_string(failed.front().first) + ")");
-    out.dropped_partial = 1;  // The crash-truncated tail; recoverable.
   }
   return out;
 }

@@ -86,14 +86,15 @@ struct TelemetryLine {
 struct TelemetryLog {
   std::string spec_digest;  ///< From the header line.
   std::vector<TelemetryLine> lines;
-  std::size_t dropped_partial = 0;  ///< Crash-torn tail lines forgiven.
+  std::size_t dropped_partial = 0;  ///< 1 when a torn tail was forgiven.
   /// type -> count census over `lines`.
   std::map<std::string, std::size_t> census() const;
 };
 
-/// Parses the full telemetry.jsonl text. Like the Journal reader, a parse
+/// Parses the full telemetry.jsonl text with parse_jsonl_log: a parse
 /// failure is forgiven only on the final line (crash-torn tail); malformed
-/// mid-file lines throw std::runtime_error.
+/// mid-file lines, or more than one malformed line, throw
+/// std::runtime_error.
 TelemetryLog load_telemetry(const std::string& text);
 
 }  // namespace solsched::obs::analysis

@@ -3,23 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
 
 namespace solsched::obs::analysis {
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("timeline: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 /// Trace ids travel as "0x<hex>" strings (a JSON number would round u64
 /// ids through a double). 0 on anything else.

@@ -148,7 +148,7 @@ std::string MetricsSnapshot::to_json() const {
   std::string out = "{\n  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
     out += i ? ",\n    \"" : "\n    \"";
-    out += counters[i].first;
+    util::append_json_escaped(out, counters[i].first);
     out += "\": ";
     out += std::to_string(counters[i].second);
   }
@@ -156,7 +156,7 @@ std::string MetricsSnapshot::to_json() const {
   out += "  \"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
     out += i ? ",\n    \"" : "\n    \"";
-    out += gauges[i].first;
+    util::append_json_escaped(out, gauges[i].first);
     out += "\": ";
     out += util::format_shortest(gauges[i].second);
   }
@@ -165,7 +165,7 @@ std::string MetricsSnapshot::to_json() const {
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const HistogramEntry& h = histograms[i];
     out += i ? ",\n    \"" : "\n    \"";
-    out += h.name;
+    util::append_json_escaped(out, h.name);
     out += "\": {\"upper_bounds\": [";
     for (std::size_t b = 0; b < h.upper_bounds.size(); ++b) {
       if (b) out += ",";

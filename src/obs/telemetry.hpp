@@ -13,8 +13,8 @@
 //    which a reopened bus heals exactly like Journal — and a kernel crash
 //    loses at most one heartbeat interval of observational events (the
 //    fsync'd Journal remains the ground truth for results).
-//  * status.json — a periodically rewritten (tmp → rename, never torn)
-//    snapshot: shards done/total, per-workload ETA from observed shard
+//  * status.json — a periodically rewritten (util::atomic_replace, never
+//    torn) snapshot: shards done/total, per-workload ETA from observed shard
 //    durations, artifact-cache hit rate, throughput in shards/min, and the
 //    campaign state (running/stopped/finished/failed). `solsched-campaign
 //    watch` renders it; its state field is the run's exit-code contract.
@@ -45,6 +45,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/durable.hpp"
 
 namespace solsched::obs {
 
@@ -96,9 +98,9 @@ class TelemetryBus {
     std::uint64_t events = 0; ///< Lines appended to telemetry.jsonl.
   };
 
-  /// Opens (or resumes) <dir>/telemetry.jsonl — healing a crash-torn tail
-  /// exactly like Journal, then appending a header line when the file is
-  /// fresh — writes an initial "running" status.json, and starts the
+  /// Opens (or resumes) <dir>/telemetry.jsonl as a util::AppendLog —
+  /// healing a crash-torn tail, then appending a header line when the file
+  /// is fresh — writes an initial "running" status.json, and starts the
   /// watchdog thread when heartbeat_ms > 0. Throws std::runtime_error on
   /// I/O failure.
   explicit TelemetryBus(Options options);
@@ -128,7 +130,7 @@ class TelemetryBus {
   /// a heartbeat event, flags stalled shards, rewrites status.json.
   void tick();
 
-  /// Rewrites <dir>/status.json atomically (tmp → rename).
+  /// Rewrites <dir>/status.json with util::atomic_replace.
   void write_status();
 
   /// Current snapshot JSON (the exact bytes write_status persists).
@@ -153,7 +155,6 @@ class TelemetryBus {
     std::size_t timed = 0;         ///< Shards contributing to dur_us_sum.
   };
 
-  void append_line_locked(const std::string& line, bool sync);
   void publish_locked(std::string type, std::uint64_t shard,
                       std::string workload, std::string detail,
                       bool sync = false);
@@ -169,7 +170,7 @@ class TelemetryBus {
   bool stop_ = false;
   std::thread watchdog_;
 
-  int fd_ = -1;
+  util::AppendLog log_;  ///< telemetry.jsonl; appended under mutex_.
   std::uint64_t seq_ = 0;
   std::uint64_t start_us_ = 0;       ///< steady now_us() at construction.
   std::uint64_t start_wall_ms_ = 0;

@@ -1,16 +1,14 @@
 #include "obs/tsdb.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
 #include "util/byte_format.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::obs {
 namespace {
@@ -195,35 +193,23 @@ const TimeseriesPoint& TimeseriesStore::at(std::size_t i) const {
   return ring_[(oldest + i) % capacity_];
 }
 
-bool TimeseriesStore::write_jsonl(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) return false;
-  std::string line;
-  bool ok = true;
-  for (std::size_t i = 0; i < count_ && ok; ++i) {
+void TimeseriesStore::write_jsonl(const std::string& path) const {
+  std::string text;
+  for (std::size_t i = 0; i < count_; ++i) {
     const TimeseriesPoint& point = at(i);
-    line = "{\"t\":" + std::to_string(point.wall_ms) + ",\"v\":{";
+    text += "{\"t\":" + std::to_string(point.wall_ms) + ",\"v\":{";
     for (std::size_t k = 0; k < point.values.size(); ++k) {
-      if (k) line += ',';
+      if (k) text += ',';
       // Metric names are dotted lowercase identifiers, but the writer
       // escapes defensively anyway so a hostile name cannot tear a line.
-      line += '"';
-      util::append_json_escaped(line, point.values[k].first);
-      line += "\":";
-      line += util::format_shortest(point.values[k].second);
+      text += '"';
+      util::append_json_escaped(text, point.values[k].first);
+      text += "\":";
+      text += util::format_shortest(point.values[k].second);
     }
-    line += "}}\n";
-    ok = std::fwrite(line.data(), 1, line.size(), f) == line.size();
+    text += "}}\n";
   }
-  std::fflush(f);
-  ::fsync(::fileno(f));
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  util::atomic_replace(path, text);
 }
 
 bool TimeseriesStore::read_jsonl(const std::string& path,

@@ -18,10 +18,10 @@
 // callers gate construction on obs::enabled() so an obs-off run never
 // allocates a store at all.
 //
-// Persistence is one JSONL line per point, written whole-ring to a temp
-// file, fsync'd and renamed — the same never-torn contract as status.json.
-// The reader forgives exactly one torn final line (a crash mid-rename of a
-// predecessor's write), mirroring telemetry_view's torn-tail policy.
+// Persistence is one JSONL line per point, the whole ring published with
+// util::atomic_replace — the same never-torn contract as status.json. The
+// reader still forgives exactly one torn final line, mirroring the
+// append-log readers' torn-tail policy.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +58,10 @@ class TimeseriesStore {
   /// Points oldest-first; `i` < size().
   const TimeseriesPoint& at(std::size_t i) const;
 
-  /// Serializes the ring oldest-first as JSONL, tmp -> fsync -> rename.
-  /// False on I/O failure (the target file is left untouched).
-  bool write_jsonl(const std::string& path) const;
+  /// Serializes the ring oldest-first as JSONL through
+  /// util::atomic_replace. Throws std::runtime_error on I/O failure (the
+  /// target file is left untouched).
+  void write_jsonl(const std::string& path) const;
 
   /// Reads a write_jsonl() file. A torn final line (crash between write
   /// and rename of a previous generation) is dropped, not an error; any

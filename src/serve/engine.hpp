@@ -2,9 +2,10 @@
 //
 // The engine owns a read-mostly table from controller key (the campaign
 // ArtifactCache's 64-bit artifact digest) to a loaded TrainedController,
-// published through one std::atomic<std::shared_ptr<const Table>>. Request
-// workers take an acquire snapshot per query and decide against it, so a
-// concurrent reload is one release store of a fresh table: in-flight
+// published as one std::shared_ptr<const Table> behind a mutex that is held
+// only while the pointer is copied or replaced. Request workers copy a
+// snapshot per query and decide against it, so a concurrent reload is one
+// pointer swap to a fresh table: in-flight
 // requests finish on the controller they started with, new requests see
 // the new one, and nothing is ever torn — the shared_ptr keeps every
 // superseded controller alive until its last reader drops it (the
@@ -83,11 +84,15 @@ class DecisionEngine {
       std::map<std::uint64_t, std::shared_ptr<const core::TrainedController>>;
 
   std::shared_ptr<const Table> snapshot() const {
-    return table_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(table_mutex_);
+    return table_;
   }
 
   Options options_;
-  std::atomic<std::shared_ptr<const Table>> table_;
+  /// Held only to copy or store table_ (libstdc++ 12's
+  /// std::atomic<std::shared_ptr> is opaque to TSan).
+  mutable std::mutex table_mutex_;
+  std::shared_ptr<const Table> table_;
   std::mutex reload_mutex_;  ///< Serializes copy-on-write publishers.
   std::atomic<std::uint64_t> measured_infer_us_{0};  ///< Observed maximum.
 };

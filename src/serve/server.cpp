@@ -14,6 +14,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "util/byte_format.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::serve {
 namespace {
@@ -60,15 +62,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
     return false;
   }
   return true;
-}
-
-void json_string(std::ostringstream& out, const std::string& text) {
-  out << '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
 }
 
 /// Fixed-precision fraction for status.json (availability, burn rates).
@@ -140,7 +133,7 @@ Server::Server(Options options)
 Server::~Server() { stop(); }
 
 void Server::start() {
-  write_status("running");
+  persist("running");
   accept_thread_ = std::thread([this] { accept_main(); });
   dispatch_thread_ = std::thread([this] {
     // The worker pool: `workers` long-running loop bodies over the bounded
@@ -211,7 +204,7 @@ void Server::stop() {
   observe_tick();
   if (!options_.trace_path.empty() && obs::trace_events_enabled())
     obs::write_chrome_trace(options_.trace_path);
-  write_status("stopped");
+  persist("stopped");
 }
 
 void Server::accept_main() {
@@ -546,9 +539,8 @@ std::string Server::status_json(const std::string& state) const {
   out << "  \"state\": \"" << state << "\",\n";
   out << "  \"wall_ms\": " << wall_ms_now() << ",\n";
   out << "  \"pid\": " << ::getpid() << ",\n";
-  out << "  \"socket\": ";
-  json_string(out, options_.socket_path);
-  out << ",\n";
+  out << "  \"socket\": \"" << util::json_escape(options_.socket_path)
+      << "\",\n";
   out << "  \"controllers\": " << engine_.controller_count() << ",\n";
   out << "  \"workers\": " << options_.workers << ",\n";
   out << "  \"queue_capacity\": " << options_.queue_depth << ",\n";
@@ -645,22 +637,20 @@ void Server::observe_tick() {
       tsdb_ = std::make_unique<obs::TimeseriesStore>(
           options_.timeseries_capacity);
     tsdb_->sample(wall_ms_now(), obs::MetricsRegistry::global().snapshot());
-    tsdb_->write_jsonl(options_.timeseries_path);
   }
 }
 
-void Server::write_status(const std::string& state) const {
-  if (options_.status_path.empty()) return;
-  const std::string tmp = options_.status_path + ".tmp";
-  const std::string text = status_json(state);
-  FILE* file = std::fopen(tmp.c_str(), "w");
-  if (file == nullptr) return;
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), file) == text.size();
-  std::fflush(file);
-  ::fsync(::fileno(file));
-  std::fclose(file);
-  if (ok) std::rename(tmp.c_str(), options_.status_path.c_str());
+void Server::persist(const std::string& state) {
+  try {
+    if (tsdb_) tsdb_->write_jsonl(options_.timeseries_path);
+    if (!options_.status_path.empty())
+      util::atomic_replace(options_.status_path, status_json(state));
+    persist_failing_ = false;
+  } catch (const std::exception& e) {
+    if (!persist_failing_)
+      std::fprintf(stderr, "solsched-serve: %s (still serving)\n", e.what());
+    persist_failing_ = true;
+  }
 }
 
 void Server::status_main() {
@@ -671,7 +661,7 @@ void Server::status_main() {
     if (stop_requested_) break;
     lock.unlock();
     observe_tick();
-    write_status("running");
+    persist("running");
     lock.lock();
   }
 }

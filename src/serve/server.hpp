@@ -11,8 +11,8 @@
 //    died waiting gets SERVE_TIMEOUT, not a late decision) and pass the
 //    remaining budget to the engine, which degrades to the LSA fallback
 //    when inference cannot fit;
-//  * one status thread rewrites status.json (tmp → rename, never torn) on
-//    a fixed cadence and a final "stopped" snapshot on shutdown.
+//  * one status thread rewrites status.json (util::atomic_replace, never
+//    torn) on a fixed cadence and a final "stopped" snapshot on shutdown.
 //
 // Every reply to a query passes the optional ServeFaultPlan hook
 // (drop/delay/corrupt), which the adversarial client tests drive.
@@ -142,13 +142,17 @@ class Server {
   void send_error(const std::shared_ptr<Conn>& conn, ErrorCode code,
                   const std::string& message, bool query_reply);
 
-  void write_status(const std::string& state) const;
+  /// Writes the time-series ring and status.json. Never throws: a full
+  /// disk must not stop the daemon, so a failure goes to stderr once until
+  /// a write succeeds again.
+  void persist(const std::string& state);
 
   Options options_;
   DecisionEngine engine_;
   ServeStats stats_;
   std::unique_ptr<obs::SloEngine> slo_;        ///< Null when SLO-free.
   std::unique_ptr<obs::TimeseriesStore> tsdb_; ///< Lazy; status thread only.
+  bool persist_failing_ = false;  ///< Like tsdb_: status thread (or stop).
 
   // Atomic: stop() closes the listener from another thread while
   // accept_main() is reading it into accept().

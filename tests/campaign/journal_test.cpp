@@ -109,6 +109,20 @@ TEST(Journal, GarbageMidFileIsFatal) {
   EXPECT_THROW(Journal::load(path, 9), std::runtime_error);
 }
 
+// Without a header only a single torn line can be a crash (the header
+// write itself); a file of several malformed lines is not a journal, and
+// reading it as empty would let the next run append records after garbage.
+TEST(Journal, AllGarbageFileIsFatal) {
+  const std::string path = fresh_path("journal_all_garbage.jsonl");
+  std::ofstream(path) << "garbage one\ngarbage two\ngarbage three\n";
+  EXPECT_THROW(Journal::load(path, 9), std::runtime_error);
+
+  std::ofstream(path, std::ios::trunc) << "{\"journal\": \"solsched-camp";
+  const Journal::Recovered torn = Journal::load(path, 9);
+  EXPECT_EQ(torn.dropped_partial, 1u);
+  EXPECT_TRUE(torn.records.empty());
+}
+
 TEST(Journal, SpecDigestMismatchIsFatal) {
   const std::string path = fresh_path("journal_digest.jsonl");
   { Journal(path, 1).append(sample_record(0)); }

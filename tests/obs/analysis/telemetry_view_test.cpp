@@ -214,5 +214,12 @@ TEST(TelemetryView, LoadTelemetryTornHeaderAndBadHeader) {
                std::runtime_error);
 }
 
+// Only one torn line is a crash; a headerless file of several malformed
+// lines is not a telemetry stream and must not read as empty.
+TEST(TelemetryView, LoadTelemetryRejectsAllGarbage) {
+  EXPECT_THROW(load_telemetry("garbage one\ngarbage two\n"),
+               std::runtime_error);
+}
+
 }  // namespace
 }  // namespace solsched::obs::analysis

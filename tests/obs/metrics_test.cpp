@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/analysis/json_mini.hpp"
+
 namespace solsched::obs {
 namespace {
 
@@ -182,6 +184,24 @@ TEST_F(MetricsTest, SnapshotJsonShape) {
   EXPECT_NE(json.find("\"x.count\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"x.gauge\": 1.5"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+}
+
+TEST(MetricsSnapshotJson, HostileNamesAreEscaped) {
+  MetricsSnapshot snap;
+  snap.counters = {{"a\"b", 1}, {"a\nb", 2}};
+  snap.gauges = {{"a\"b", 0.5}, {"a\nb", 0.25}};
+  snap.histograms.push_back({"a\"b", {1.0}, {1, 0}, 1, 0.5});
+  snap.histograms.push_back({"a\nb", {1.0}, {0, 1}, 1, 2.0});
+  const analysis::JsonValue doc = analysis::parse_json(snap.to_json());
+  for (const char* family : {"counters", "gauges", "histograms"}) {
+    const analysis::JsonValue* members = doc.find(family);
+    ASSERT_NE(members, nullptr) << family;
+    ASSERT_EQ(members->object.size(), 2u) << family;
+    EXPECT_EQ(members->object[0].first, "a\"b") << family;
+    EXPECT_EQ(members->object[1].first, "a\nb") << family;
+  }
+  EXPECT_EQ(doc.find("counters")->number_or("a\nb"), 2.0);
+  EXPECT_EQ(doc.find("histograms")->find("a\"b")->number_or("sum"), 0.5);
 }
 
 TEST_F(MetricsTest, MacrosNoOpWhenDisabled) {

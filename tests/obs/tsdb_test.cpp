@@ -93,7 +93,7 @@ TEST(TimeseriesStore, JsonlRoundTripIsExact) {
   TimeseriesStore store(8);
   store.sample(1111, snapshot_with(100, 2.5, {50, 50, 0, 0}));
   store.sample(2222, snapshot_with(300, 0.125, {100, 80, 20, 0}));
-  ASSERT_TRUE(store.write_jsonl(path));
+  ASSERT_NO_THROW(store.write_jsonl(path));
 
   std::vector<TimeseriesPoint> points;
   std::string error;
@@ -116,7 +116,7 @@ TEST(TimeseriesStore, TornFinalLineHealsButEarlierCorruptionIsAnError) {
   TimeseriesStore store(8);
   store.sample(1000, snapshot_with(10, 1.0, {1, 0, 0, 0}));
   store.sample(2000, snapshot_with(20, 1.0, {2, 0, 0, 0}));
-  ASSERT_TRUE(store.write_jsonl(path));
+  ASSERT_NO_THROW(store.write_jsonl(path));
 
   // A crash mid-write of a successor generation leaves a torn final line.
   {
@@ -150,7 +150,7 @@ TEST(TimeseriesStore, HostileMetricNamesCannotTearALine) {
   s.counters.emplace_back("a\nb", 8);
   s.counters.emplace_back("ctl\x01.tab\t.cr\r", 9);
   store.sample(500, s);
-  ASSERT_TRUE(store.write_jsonl(path));
+  ASSERT_NO_THROW(store.write_jsonl(path));
   std::vector<TimeseriesPoint> points;
   std::string error;
   ASSERT_TRUE(TimeseriesStore::read_jsonl(path, &points, &error)) << error;
