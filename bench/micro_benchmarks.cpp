@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the hot kernels: capacitor slot
 // update, PMU slot resolution, DBN forward pass, per-period optimizer
-// evaluation, WCMA prediction, and trace generation.
+// evaluation and Pareto sweep, WCMA prediction, and trace generation.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -92,6 +92,44 @@ void BM_ParetoCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParetoCold);
+
+// The DP's inner solve on each paper benchmark: one pareto_options call per
+// iteration, rotating over the daylight periods of a partly cloudy day x
+// capacities {1, 10, 50, 100} F x four start voltages, so the prefix tree
+// sees the spread of solar/storage regimes the DP visits.
+void BM_ParetoOptions(benchmark::State& state, task::TaskGraph (*make)()) {
+  const auto graph = make();
+  const sched::PeriodOptimizer optimizer(
+      graph, storage::PmuConfig{}, storage::RegulatorModel::fitted_default(),
+      storage::LeakageModel::fitted_default(), 0.5, 5.0, 30.0);
+  const auto grid = bench::paper_grid();
+  const auto trace = bench::paper_generator().generate_day(
+      solar::DayKind::kPartlyCloudy, grid);
+  struct Cell {
+    std::vector<double> solar;
+    double capacity_f;
+    double v0;
+  };
+  std::vector<Cell> cells;
+  for (std::size_t p = 0; p < grid.n_periods; ++p) {
+    const std::vector<double> solar = trace.period_powers(0, p);
+    double energy = 0.0;
+    for (double w : solar) energy += w;
+    if (energy <= 0.0) continue;
+    for (double capacity_f : {1.0, 10.0, 50.0, 100.0})
+      for (double v0 : {0.5, 1.5, 3.0, 4.5})
+        cells.push_back({solar, capacity_f, v0});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Cell& cell = cells[i++ % cells.size()];
+    benchmark::DoNotOptimize(
+        optimizer.pareto_options(cell.solar, cell.capacity_f, cell.v0));
+  }
+}
+BENCHMARK_CAPTURE(BM_ParetoOptions, wam, task::wam_benchmark);
+BENCHMARK_CAPTURE(BM_ParetoOptions, ecg, task::ecg_benchmark);
+BENCHMARK_CAPTURE(BM_ParetoOptions, shm, task::shm_benchmark);
 
 void BM_ParetoCached(benchmark::State& state) {
   const auto graph = task::wam_benchmark();

@@ -10,12 +10,12 @@
 # server Chrome-trace dumps), the scheduler-registry zoo suite
 # (`ctest -L sched`: id->factory->name round-trips, 1-vs-N-thread
 # bit-identity across the zoo, campaign journals keyed by canonical id,
-# spec-axis/registry drift), a
+# spec-axis/registry drift, period-kernel oracle, DP pin), a
 # SOLSCHED_SIMD=OFF scalar-fallback build with a cross-build
 # controller-decision check, plus the concurrency/obs/telemetry/serve/
 # tsdb/sched/durable suites rerun under ThreadSanitizer, the fault suite
-# rerun under UndefinedBehaviorSanitizer, and the simd parity, campaign and
-# durable-file suites rerun under AddressSanitizer+UBSan.
+# rerun under UndefinedBehaviorSanitizer, and the simd parity, campaign,
+# durable-file and sched suites rerun under AddressSanitizer+UBSan.
 #
 #   scripts/tier1.sh [build-dir] [tsan-build-dir] [ubsan-build-dir] [scalar-build-dir] [asan-build-dir]
 #
@@ -26,10 +26,11 @@
 # the label families with real cross-thread traffic; the UBSan phase runs
 # `ctest -L fault` — the injection paths push NaN and out-of-range values
 # through the decoders, exactly where UB would hide; the ASan+UBSan phase
-# runs `ctest -L "simd|campaign|durable"` — the vector kernels' tails and
-# pack buffers are exactly where an out-of-bounds lane would hide, and the
+# runs `ctest -L "simd|campaign|durable|sched"` — the vector kernels' tails
+# and pack buffers are exactly where an out-of-bounds lane would hide, the
 # journal/artifact readers and the durable-file crash drill are where a
-# torn input meets a parser.
+# torn input meets a parser, and the period kernel indexes fixed per-task
+# and per-NVP arrays by task id.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -62,7 +63,8 @@ echo "== tier 1: scheduler registry zoo ($BUILD_DIR) =="
 # 4 threads, a ccedf/laedf/greedy campaign journals rows keyed by the
 # canonical ids, and the campaign scheduler axis is pinned to the registry
 # (drift test), so a new registry entry cannot silently miss the spec
-# vocabulary.
+# vocabulary. The same label carries the period-kernel oracle (bit-for-bit
+# against a frozen per-subset evaluator) and the DP plan/LUT digest pin.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L sched
 
 echo "== tier 1: campaign kill/resume smoke ($BUILD_DIR) =="
@@ -256,10 +258,10 @@ cmake -B "$UBSAN_DIR" -S . -DSOLSCHED_SANITIZE=undefined
 cmake --build "$UBSAN_DIR" -j "$JOBS"
 ctest --test-dir "$UBSAN_DIR" --output-on-failure -j "$JOBS" -L fault
 
-echo "== tier 1: ASan+UBSan rerun of simd + campaign + durable suites ($ASAN_DIR) =="
+echo "== tier 1: ASan+UBSan rerun of simd + campaign + durable + sched suites ($ASAN_DIR) =="
 cmake -B "$ASAN_DIR" -S . -DSOLSCHED_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$JOBS"
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
-  -L "simd|campaign|durable"
+  -L "simd|campaign|durable|sched"
 
 echo "tier 1 passed"

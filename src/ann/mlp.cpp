@@ -1,8 +1,10 @@
 #include "ann/mlp.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "ann/kernels/kernels.hpp"
@@ -279,6 +281,39 @@ std::string Mlp::serialize() const {
   return out.str();
 }
 
+namespace {
+
+/// Reads the next weight or bias token. Truncation, an unparseable token
+/// and a non-finite value are distinct defects, each reported with the
+/// layer, the index within that layer's weights or biases, and the token.
+double read_parameter(std::istream& in, bool bias, std::size_t layer,
+                      std::size_t index) {
+  const std::string where = std::string(bias ? "bias " : "weight ") +
+                            std::to_string(index) + " of layer " +
+                            std::to_string(layer);
+  std::string token;
+  if (!(in >> token))
+    throw std::invalid_argument(
+        std::string("Mlp::deserialize: truncated ") +
+        (bias ? "biases" : "weights") + " (missing " + where + ")");
+  // from_chars is locale-free and rejects a leading '+', which operator>>
+  // accepted; allow it so every file that loaded before still loads.
+  const char* first = token.data();
+  const char* last = token.data() + token.size();
+  if (token.size() > 1 && token[0] == '+' && token[1] != '-') ++first;
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || end != last)
+    throw std::invalid_argument("Mlp::deserialize: unparseable " + where +
+                                ": '" + token + "'");
+  if (!std::isfinite(value))
+    throw std::invalid_argument("Mlp::deserialize: non-finite " + where +
+                                ": '" + token + "'");
+  return value;
+}
+
+}  // namespace
+
 Mlp Mlp::deserialize(const std::string& text) {
   std::istringstream in(text);
   std::string magic;
@@ -292,15 +327,18 @@ Mlp Mlp::deserialize(const std::string& text) {
   Mlp net(sizes, /*seed=*/0);
   for (std::size_t l = 0; l + 1 < sizes.size(); ++l) {
     Matrix w(sizes[l + 1], sizes[l]);
-    for (double& x : w.data())
-      if (!(in >> x))
-        throw std::invalid_argument("Mlp::deserialize: truncated weights");
+    for (std::size_t i = 0; i < w.data().size(); ++i)
+      w.data()[i] = read_parameter(in, /*bias=*/false, l, i);
     Vector b(sizes[l + 1]);
-    for (double& x : b)
-      if (!(in >> x))
-        throw std::invalid_argument("Mlp::deserialize: truncated biases");
+    for (std::size_t i = 0; i < b.size(); ++i)
+      b[i] = read_parameter(in, /*bias=*/true, l, i);
     net.set_layer(l, w, b);
   }
+  std::string extra;
+  if (in >> extra)
+    throw std::invalid_argument(
+        "Mlp::deserialize: trailing data after the last bias: '" + extra +
+        "'");
   return net;
 }
 

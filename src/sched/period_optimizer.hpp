@@ -11,6 +11,7 @@
 // formulation's structure at a cost a DP over months can afford.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "storage/leakage.hpp"
@@ -49,13 +50,16 @@ struct PeriodOption {
 /// Evaluates task subsets within one period over one capacitor.
 class PeriodOptimizer {
  public:
+  /// Throws std::invalid_argument above 64 tasks (the kernel keeps task
+  /// sets as 64-bit masks).
   PeriodOptimizer(const task::TaskGraph& graph, storage::PmuConfig pmu,
                   storage::RegulatorModel regulators,
                   storage::LeakageModel leakage, double v_low, double v_high,
                   double dt_s);
 
   /// Simulates the period executing subset `te` (size N; empty = all tasks)
-  /// with the greedy-lazy placement described above.
+  /// with the greedy-lazy placement described above: the period kernel on
+  /// one subset, recording each slot's chosen tasks.
   PeriodEval evaluate(const std::vector<bool>& te,
                       const std::vector<double>& solar_w, double capacity_f,
                       double v0) const;
@@ -65,28 +69,20 @@ class PeriodOptimizer {
   /// higher final usable energy, then the earliest subset). Sorted by
   /// ascending miss count.
   ///
-  /// The sweep skips per-slot schedule recording (pareto_options never
-  /// reads it) and fans the independent subset evaluations out on
-  /// util::parallel_for, reducing the per-subset summaries serially in
-  /// subset order — the selected options equal those of a serial loop over
-  /// evaluate() at every thread count.
+  /// The sweep runs the period kernel over all subsets at once, sharing
+  /// prefixes: the subsets walk the period as a slot-by-slot tree, and the
+  /// ones that agree on te ∩ live at a node take the same decision there,
+  /// so each distinct (state, te ∩ live) slot is simulated once. The
+  /// reduction runs serially in subset order, so the options equal those
+  /// of a loop over evaluate() (and do not depend on the thread count:
+  /// the sweep is serial; the DP fans out across its cells instead).
   std::vector<PeriodOption> pareto_options(const std::vector<double>& solar_w,
                                            double capacity_f, double v0) const;
 
   const task::TaskGraph& graph() const noexcept { return *graph_; }
 
  private:
-  /// Reusable per-evaluation state (capacitor bank, period state, decision
-  /// buffers). Constructing these per subset dominates the sweep's profile,
-  /// so pareto_options builds one scratch per chunk and resets it per eval.
-  struct EvalScratch;
-
-  /// Core evaluation against caller-owned scratch (fully reset inside, so
-  /// reuse never changes results). scratch.bank must match capacity_f and
-  /// scratch.suffix_j must match solar_w.
-  PeriodEval evaluate_with(const std::vector<bool>& te,
-                           const std::vector<double>& solar_w, double v0,
-                           bool record_slots, EvalScratch& scratch) const;
+  class Kernel;
 
   const task::TaskGraph* graph_;
   storage::PmuConfig pmu_;
@@ -96,6 +92,14 @@ class PeriodOptimizer {
   double v_high_;
   double dt_s_;
   std::vector<std::vector<bool>> closed_;  ///< Cached closed subsets.
+  // Per-task constants hoisted out of the kernel, indexed by task id.
+  std::vector<double> power_w_;
+  std::vector<double> deadline_s_;
+  std::vector<std::uint64_t> pred_mask_;
+  /// Task mask of each NVP that has tasks, in ascending NVP order.
+  std::vector<std::uint64_t> nvp_masks_;
+  std::vector<std::uint64_t> closed_masks_;  ///< closed_ as bit masks.
+  std::vector<double> closed_demand_j_;      ///< α numerator per subset.
 };
 
 }  // namespace solsched::sched

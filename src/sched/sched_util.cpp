@@ -1,55 +1,24 @@
 #include "sched/sched_util.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace solsched::sched {
 
 namespace {
 
-/// Buckets an already-computed live-ready list by NVP and sorts each bucket
-/// by (deadline, remaining, id). That key is a *total* order over distinct
-/// tasks, so the sorted result is unique regardless of algorithm; the
-/// buckets are tiny (one entry per live task of the NVP), making insertion
-/// sort the cheapest correct choice.
-void candidates_from_live(const task::TaskGraph& graph,
-                          const task::PeriodState& state,
-                          const std::vector<std::size_t>& live,
-                          const std::vector<bool>& enabled,
-                          LoadMatchScratch& s) {
-  s.by_nvp.resize(graph.nvp_count());
-  for (auto& list : s.by_nvp) list.clear();
-  for (std::size_t id : live) {
-    if (!enabled.empty() && !enabled[id]) continue;
-    s.by_nvp[graph.task(id).nvp].push_back(id);
-  }
-  auto before = [&](std::size_t a, std::size_t b) {
-    const auto& ta = graph.task(a);
-    const auto& tb = graph.task(b);
-    if (ta.deadline_s != tb.deadline_s) return ta.deadline_s < tb.deadline_s;
-    if (state.remaining_s(a) != state.remaining_s(b))
-      return state.remaining_s(a) < state.remaining_s(b);
-    return a < b;
-  };
-  for (auto& list : s.by_nvp)
-    for (std::size_t i = 1; i < list.size(); ++i) {
-      const std::size_t v = list[i];
-      std::size_t j = i;
-      while (j > 0 && before(v, list[j - 1])) {
-        list[j] = list[j - 1];
-        --j;
-      }
-      list[j] = v;
-    }
-}
-
-void candidates_by_nvp_into(const task::TaskGraph& graph,
-                            const task::PeriodState& state, double now_s,
-                            const std::vector<bool>& enabled,
-                            LoadMatchScratch& s) {
-  state.live_ready_tasks_into(now_s, s.live);
-  candidates_from_live(graph, state, s.live, enabled, s);
+/// The per-NVP candidate order: earliest deadline, then less remaining
+/// work, then lower id — a total order over distinct tasks.
+bool edf_before(const task::TaskGraph& graph, const task::PeriodState& state,
+                std::size_t a, std::size_t b) {
+  const auto& ta = graph.task(a);
+  const auto& tb = graph.task(b);
+  if (ta.deadline_s != tb.deadline_s) return ta.deadline_s < tb.deadline_s;
+  if (state.remaining_s(a) != state.remaining_s(b))
+    return state.remaining_s(a) < state.remaining_s(b);
+  return a < b;
 }
 
 }  // namespace
@@ -57,9 +26,24 @@ void candidates_by_nvp_into(const task::TaskGraph& graph,
 std::vector<std::vector<std::size_t>> candidates_by_nvp(
     const task::TaskGraph& graph, const task::PeriodState& state,
     double now_s, const std::vector<bool>& enabled) {
-  LoadMatchScratch s;
-  candidates_by_nvp_into(graph, state, now_s, enabled, s);
-  return std::move(s.by_nvp);
+  std::vector<std::vector<std::size_t>> by_nvp(graph.nvp_count());
+  for (std::size_t id : state.live_ready_tasks(now_s)) {
+    if (!enabled.empty() && !enabled[id]) continue;
+    by_nvp[graph.task(id).nvp].push_back(id);
+  }
+  // The buckets are tiny (one entry per live task of the NVP), making
+  // insertion sort the cheapest correct choice.
+  for (auto& list : by_nvp)
+    for (std::size_t i = 1; i < list.size(); ++i) {
+      const std::size_t v = list[i];
+      std::size_t j = i;
+      while (j > 0 && edf_before(graph, state, v, list[j - 1])) {
+        list[j] = list[j - 1];
+        --j;
+      }
+      list[j] = v;
+    }
+  return by_nvp;
 }
 
 double latest_start_s(const task::TaskGraph& graph,
@@ -101,65 +85,32 @@ std::vector<std::vector<bool>> closed_subsets(const task::TaskGraph& graph) {
   return out;
 }
 
-std::vector<std::size_t> load_match_decision(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    double now_s, double dt_s, const std::vector<bool>& enabled,
-    double target_w, const std::vector<bool>& must_run, double max_load_w) {
-  LoadMatchScratch scratch;
-  std::vector<std::size_t> chosen;
-  load_match_decision_into(graph, state, now_s, dt_s, enabled, target_w,
-                           must_run, max_load_w, scratch, chosen);
-  return chosen;
-}
-
-void load_match_decision_into(const task::TaskGraph& graph,
-                              const task::PeriodState& state, double now_s,
-                              double dt_s, const std::vector<bool>& enabled,
-                              double target_w,
-                              const std::vector<bool>& must_run,
-                              double max_load_w, LoadMatchScratch& scratch,
-                              std::vector<std::size_t>& chosen) {
-  state.live_ready_tasks_into(now_s, scratch.live);
-  load_match_from_live_into(graph, state, scratch.live, now_s, dt_s, enabled,
-                            target_w, must_run, max_load_w, scratch, chosen);
-}
-
-void load_match_from_live_into(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    const std::vector<std::size_t>& live, double now_s, double dt_s,
-    const std::vector<bool>& enabled, double target_w,
-    const std::vector<bool>& must_run, double max_load_w,
-    LoadMatchScratch& scratch, std::vector<std::size_t>& chosen) {
-  candidates_from_live(graph, state, live, enabled, scratch);
-
-  std::vector<std::size_t>& heads = scratch.heads;
-  std::vector<bool>& forced = scratch.forced;
-  heads.clear();
-  forced.clear();
+std::uint64_t load_match_heads(std::span<const LoadMatchHead> heads,
+                               double target_w, double max_load_w) {
+  const std::size_t n = heads.size();
+  if (n > 63)
+    throw std::length_error("load_match_heads: more than 63 NVP heads");
+  std::uint64_t forced = 0;
   double forced_w = 0.0;
-  for (const auto& list : scratch.by_nvp) {
-    if (list.empty()) continue;
-    const std::size_t head = list.front();
-    heads.push_back(head);
-    const bool f = is_forced(graph, state, head, now_s, dt_s) ||
-                   (!must_run.empty() && must_run[head]);
-    forced.push_back(f);
-    if (f) forced_w += graph.task(head).power_w;
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (heads[i].forced) {
+      forced |= std::uint64_t{1} << i;
+      forced_w += heads[i].power_w;
+    }
 
   // Shed forced tasks latest-deadline-first if even they exceed the
   // supplyable power (a brownout would waste the whole slot).
   while (forced_w > max_load_w + 1e-12) {
     int victim = -1;
     double latest = -1.0;
-    for (std::size_t i = 0; i < heads.size(); ++i)
-      if (forced[i] && graph.task(heads[i]).deadline_s > latest) {
-        latest = graph.task(heads[i]).deadline_s;
+    for (std::size_t i = 0; i < n; ++i)
+      if (((forced >> i) & 1u) && heads[i].deadline_s > latest) {
+        latest = heads[i].deadline_s;
         victim = static_cast<int>(i);
       }
     if (victim < 0) break;
-    forced[static_cast<std::size_t>(victim)] = false;
-    forced_w -= graph.task(heads[static_cast<std::size_t>(victim)]).power_w;
+    forced &= ~(std::uint64_t{1} << victim);
+    forced_w -= heads[static_cast<std::size_t>(victim)].power_w;
     // The shed task stays a (non-forced) candidate for the subset search.
   }
 
@@ -167,31 +118,28 @@ void load_match_from_live_into(
   // combination, so the full 2^n sweep visits each distinct chosen set 2^f
   // times; enumerating the 2^(n-f) optional subsets visits each set exactly
   // once, in its first-occurrence order of the full sweep — which is what
-  // the "strictly better, else more tasks" selection rule keys on, so the
-  // winning set is unchanged.
-  std::vector<std::size_t>& opt = scratch.optional;
-  opt.clear();
+  // the "strictly better, else more tasks" selection rule keys on.
+  std::array<std::size_t, 63> opt;  // First m entries used.
+  std::size_t m = 0;
   double base_w = 0.0;
   int base_count = 0;
-  for (std::size_t i = 0; i < heads.size(); ++i) {
-    if (forced[i]) {
-      base_w += graph.task(heads[i]).power_w;
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((forced >> i) & 1u) {
+      base_w += heads[i].power_w;
       ++base_count;
     } else {
-      opt.push_back(i);
+      opt[m++] = i;
     }
   }
-  const std::size_t m = opt.size();
-  const std::size_t total = std::size_t{1} << m;
-  std::size_t best_mask = 0;
+  std::uint64_t best_mask = 0;
   double best_cost = std::numeric_limits<double>::max();
   int best_count = -1;
-  for (std::size_t mask = 0; mask < total; ++mask) {
+  for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << m); ++mask) {
     double load_w = base_w;
     int count = base_count;
     for (std::size_t b = 0; b < m; ++b) {
       if ((mask >> b) & 1u) {
-        load_w += graph.task(heads[opt[b]]).power_w;
+        load_w += heads[opt[b]].power_w;
         ++count;
       }
     }
@@ -205,16 +153,37 @@ void load_match_from_live_into(
     }
   }
 
-  chosen.clear();
-  std::size_t b = 0;
-  for (std::size_t i = 0; i < heads.size(); ++i) {
-    if (forced[i]) {
-      chosen.push_back(heads[i]);
-    } else {
-      if ((best_mask >> b) & 1u) chosen.push_back(heads[i]);
-      ++b;
-    }
+  std::uint64_t chosen = forced;
+  for (std::size_t b = 0; b < m; ++b)
+    if ((best_mask >> b) & 1u) chosen |= std::uint64_t{1} << opt[b];
+  return chosen;
+}
+
+std::vector<std::size_t> load_match_decision(
+    const task::TaskGraph& graph, const task::PeriodState& state,
+    double now_s, double dt_s, const std::vector<bool>& enabled,
+    double target_w, const std::vector<bool>& must_run, double max_load_w) {
+  // Each NVP's head: its first task in candidates_by_nvp's order.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> head_of(graph.nvp_count(), kNone);
+  for (std::size_t id : state.live_ready_tasks(now_s)) {
+    if (!enabled.empty() && !enabled[id]) continue;
+    std::size_t& head = head_of[graph.task(id).nvp];
+    if (head == kNone || edf_before(graph, state, id, head)) head = id;
   }
+  std::vector<LoadMatchHead> heads;
+  for (std::size_t id : head_of) {
+    if (id == kNone) continue;
+    const task::Task& t = graph.task(id);
+    heads.push_back({id, t.power_w, t.deadline_s,
+                     is_forced(graph, state, id, now_s, dt_s) ||
+                         (!must_run.empty() && must_run[id])});
+  }
+  const std::uint64_t mask = load_match_heads(heads, target_w, max_load_w);
+  std::vector<std::size_t> chosen;
+  for (std::size_t i = 0; i < heads.size(); ++i)
+    if ((mask >> i) & 1u) chosen.push_back(heads[i].id);
+  return chosen;
 }
 
 double alpha_index(const task::TaskGraph& graph,
@@ -225,6 +194,10 @@ double alpha_index(const task::TaskGraph& graph,
     if (subset[id]) demand_j += graph.task(id).energy_j();
   double supply_j = 0.0;
   for (double p : solar_slots_w) supply_j += p * dt_s;
+  return alpha_index(demand_j, supply_j);
+}
+
+double alpha_index(double demand_j, double supply_j) {
   if (supply_j <= 0.0) return demand_j > 0.0 ? 1e9 : 0.0;
   return demand_j / supply_j;
 }

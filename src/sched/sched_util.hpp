@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "task/period_state.hpp"
@@ -40,52 +42,37 @@ bool dependency_closed(const task::TaskGraph& graph,
 /// is at most 256 masks, typically far fewer with chains.
 std::vector<std::vector<bool>> closed_subsets(const task::TaskGraph& graph);
 
-/// Per-slot load-matching decision shared by the intra-task baseline, the
-/// period optimizer and the optimal scheduler: among each NVP's head
-/// candidate, always runs tasks that are deadline-forced or listed in
-/// `must_run`, then picks the optional combination whose total power is
-/// closest to `target_w` (more tasks win ties).
-/// Combinations whose load exceeds `max_load_w` (the PMU's supplyable power
-/// this slot) are infeasible: running them would brown the node out and
-/// waste the slot entirely. If even the forced set exceeds the limit,
-/// forced tasks are shed latest-deadline-first.
+/// One NVP's head candidate for the load matcher: the live, enabled task
+/// that NVP would run next (the front of its candidates_by_nvp list).
+/// Trivial on purpose: the period kernel keeps a fixed array of these per
+/// slot and must not pay for initializing it.
+struct LoadMatchHead {
+  std::size_t id;
+  double power_w;
+  double deadline_s;
+  bool forced;  ///< Deadline-forced or must-run.
+};
+
+/// The load-match core over per-NVP heads (in NVP order; more than 63
+/// throws std::length_error): the forced heads always run, shed
+/// latest-deadline-first while their load exceeds `max_load_w` (the PMU's
+/// supplyable power this slot — a brownout would waste the slot entirely);
+/// among the remaining optional heads, the combination whose total power is
+/// closest to `target_w` without exceeding `max_load_w` joins them (ties:
+/// more tasks, then the first combination in mask order). Returns the
+/// chosen heads as a bit mask over positions in `heads`.
+std::uint64_t load_match_heads(std::span<const LoadMatchHead> heads,
+                               double target_w, double max_load_w);
+
+/// Per-slot load-matching decision of the intra-task baseline and the
+/// optimal scheduler's online pass: load_match_heads over each NVP's head
+/// candidate, forcing the deadline-forced heads and those listed in
+/// `must_run`. Returns the chosen task ids in NVP order.
 std::vector<std::size_t> load_match_decision(
     const task::TaskGraph& graph, const task::PeriodState& state,
     double now_s, double dt_s, const std::vector<bool>& enabled,
     double target_w, const std::vector<bool>& must_run = {},
     double max_load_w = 1e18);
-
-/// Reused buffers for load_match_decision_into. One set per period
-/// evaluation instead of one per slot: the DP's subset sweep makes ~1M
-/// slot decisions per training run and the per-slot allocations dominate
-/// its profile.
-struct LoadMatchScratch {
-  std::vector<std::size_t> live;
-  std::vector<std::vector<std::size_t>> by_nvp;
-  std::vector<std::size_t> heads;
-  std::vector<bool> forced;
-  std::vector<std::size_t> optional;  ///< Head indices the sweep varies.
-};
-
-/// Buffer-reusing variant of load_match_decision: identical decision,
-/// result lands in `chosen` (cleared first).
-void load_match_decision_into(const task::TaskGraph& graph,
-                              const task::PeriodState& state, double now_s,
-                              double dt_s, const std::vector<bool>& enabled,
-                              double target_w,
-                              const std::vector<bool>& must_run,
-                              double max_load_w, LoadMatchScratch& scratch,
-                              std::vector<std::size_t>& chosen);
-
-/// Same decision, but from a live-ready list the caller already computed
-/// for this (state, now_s) — the period evaluator needs that list for its
-/// must-run pass anyway, so this avoids deriving it twice per slot.
-void load_match_from_live_into(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    const std::vector<std::size_t>& live, double now_s, double dt_s,
-    const std::vector<bool>& enabled, double target_w,
-    const std::vector<bool>& must_run, double max_load_w,
-    LoadMatchScratch& scratch, std::vector<std::size_t>& chosen);
 
 /// The scheduling-pattern index α (Eq. 18): energy demanded by the subset /
 /// solar energy supplied in the period. Returns a large sentinel (1e9) when
@@ -93,5 +80,9 @@ void load_match_from_live_into(
 double alpha_index(const task::TaskGraph& graph,
                    const std::vector<bool>& subset,
                    const std::vector<double>& solar_slots_w, double dt_s);
+
+/// α from its two sums (demand Σ S_n·P_n over the subset in id order,
+/// supply Σ P^s·Δt over the slots in order), with the same sentinel.
+double alpha_index(double demand_j, double supply_j);
 
 }  // namespace solsched::sched

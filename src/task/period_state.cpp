@@ -82,13 +82,6 @@ void PeriodState::mark_deadlines(double now_s) {
 
 std::vector<std::size_t> PeriodState::live_ready_tasks(double now_s) const {
   std::vector<std::size_t> out;
-  live_ready_tasks_into(now_s, out);
-  return out;
-}
-
-void PeriodState::live_ready_tasks_into(double now_s,
-                                        std::vector<std::size_t>& out) const {
-  out.clear();
   if (use_masks_) {
     std::uint64_t cand = ~(completed_mask_ | missed_mask_);
     if (remaining_.size() < 64) cand &= (std::uint64_t{1} << remaining_.size()) - 1;
@@ -100,11 +93,12 @@ void PeriodState::live_ready_tasks_into(double now_s,
           graph_->task(static_cast<std::size_t>(i)).deadline_s > now_s)
         out.push_back(static_cast<std::size_t>(i));
     }
-    return;
+    return out;
   }
   for (std::size_t i = 0; i < remaining_.size(); ++i)
     if (ready(i) && !missed_[i] && graph_->task(i).deadline_s > now_s)
       out.push_back(i);
+  return out;
 }
 
 std::size_t PeriodState::miss_count() const {

@@ -9,11 +9,12 @@
 // completed/missed sets live in two 64-bit masks: readiness is one subset
 // test against TaskGraph::pred_mask, counts are popcounts, and deadline
 // marking walks the graph's deadline-sorted order from a cursor instead of
-// rescanning all tasks. The DP's subset sweep queries this state ~100M
-// times per training run, which made the vector-of-bool bookkeeping a top
-// profile entry. Larger graphs transparently use the original vector path;
-// both paths are observationally identical (tests/task/period_state-
-// masked tests assert equivalence against a reference copy).
+// rescanning all tasks. The simulator and the online schedulers query this
+// state every slot (the DP's period kernel keeps its own mask state, see
+// sched/period_optimizer.cpp). Larger graphs transparently use the original
+// vector path; both paths are observationally identical
+// (tests/task/period_state-masked tests assert equivalence against a
+// reference copy).
 #pragma once
 
 #include <cstddef>
@@ -72,10 +73,6 @@ class PeriodState {
   /// Tasks that are ready, unfinished, and still have a live deadline
   /// (deadline not yet passed), i.e. worth scheduling for DMR.
   std::vector<std::size_t> live_ready_tasks(double now_s) const;
-
-  /// Buffer-reusing variant: clears and refills `out`. The DP's subset
-  /// sweep calls this once per slot, ~1M times per training run.
-  void live_ready_tasks_into(double now_s, std::vector<std::size_t>& out) const;
 
   /// Number of missed tasks so far.
   std::size_t miss_count() const;

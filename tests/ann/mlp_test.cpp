@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace solsched::ann {
 namespace {
@@ -113,6 +115,45 @@ TEST(Mlp, SerializeRoundTrip) {
 TEST(Mlp, DeserializeRejectsGarbage) {
   EXPECT_THROW(Mlp::deserialize("bogus"), std::invalid_argument);
   EXPECT_THROW(Mlp::deserialize("mlp 2\n3 2\n1 2"), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `text` is rejected with.
+std::string deserialize_error(const std::string& text) {
+  try {
+    Mlp::deserialize(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(Mlp, DeserializeRejectsTrailingData) {
+  const std::string blob = Mlp({3, 5, 2}, 7).serialize();
+  EXPECT_NO_THROW(Mlp::deserialize(blob + " \n\t\n"));
+  const std::string error = deserialize_error(blob + "0.5\n");
+  EXPECT_NE(error.find("trailing data after the last bias: '0.5'"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(deserialize_error(blob + "garbage").find("'garbage'"),
+            std::string::npos);
+}
+
+TEST(Mlp, DeserializeNamesTheBadParameter) {
+  // Layer 0 of a 2-3-1 net has 6 weights then 3 biases; layer 1 has 3
+  // weights then 1 bias.
+  const std::string head = "mlp 3\n2 3 1\n";
+  const std::string w0 = "0.1 0.2 0.3 0.4 0.5 0.6\n";
+  const std::string b0 = "0.1 0.2 0.3\n";
+  EXPECT_NO_THROW(Mlp::deserialize(head + w0 + b0 + "1 +2 3\n-0.5\n"));
+  EXPECT_EQ(deserialize_error(head + "0.1 0.2 nan 0.4 0.5 0.6\n" + b0 +
+                              "1 2 3\n0\n"),
+            "Mlp::deserialize: non-finite weight 2 of layer 0: 'nan'");
+  EXPECT_EQ(deserialize_error(head + w0 + b0 + "1 2 3\n-inf\n"),
+            "Mlp::deserialize: non-finite bias 0 of layer 1: '-inf'");
+  EXPECT_EQ(deserialize_error(head + w0 + b0 + "1 2x 3\n0\n"),
+            "Mlp::deserialize: unparseable weight 1 of layer 1: '2x'");
+  EXPECT_EQ(deserialize_error(head + w0 + "0.1 0.2"),
+            "Mlp::deserialize: truncated biases (missing bias 2 of layer 0)");
 }
 
 TEST(Mlp, EmptySampleSetIsNoop) {

@@ -1,6 +1,9 @@
 // Tests for report generation and controller persistence.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "../test_helpers.hpp"
 #include "core/controller_io.hpp"
 #include "core/report.hpp"
@@ -208,6 +211,43 @@ TEST(ControllerIo, RejectsSemanticallyInvalidNode) {
     FAIL() << "deserialize_controller must reject v_high <= v_low";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("v_high"), std::string::npos);
+  }
+}
+
+TEST(ControllerIo, ServedArtifactRoundTripsByteForByte) {
+  // The bytes a campaign cache stores and the serve daemon loads: decoding
+  // and re-encoding them must reproduce them exactly.
+  const std::string blob = serialize_controller(controller());
+  EXPECT_EQ(serialize_controller(deserialize_controller(blob)), blob);
+}
+
+TEST(ControllerIo, RejectsTrailingGarbage) {
+  const std::string blob = serialize_controller(controller());
+  EXPECT_NO_THROW(deserialize_controller(blob + "\n"));
+  try {
+    deserialize_controller(blob + "x");
+    FAIL() << "deserialize_controller must reject trailing garbage";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("trailing data"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ControllerIo, NamesNonFiniteWeight) {
+  // Replace the MLP's first weight (first token after the layer sizes).
+  std::string blob = serialize_controller(controller());
+  const std::size_t mlp = blob.find("\nmlp ");
+  ASSERT_NE(mlp, std::string::npos);
+  const std::size_t sizes_end = blob.find('\n', blob.find('\n', mlp + 1) + 1);
+  ASSERT_NE(sizes_end, std::string::npos);
+  const std::size_t first_end = blob.find(' ', sizes_end + 1);
+  blob.replace(sizes_end + 1, first_end - sizes_end - 1, "inf");
+  try {
+    deserialize_controller(blob);
+    FAIL() << "deserialize_controller must reject an infinite weight";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "Mlp::deserialize: non-finite weight 0 of layer 0: 'inf'");
   }
 }
 

@@ -129,12 +129,14 @@ TEST(PeriodOptimizer, DependencyChainScheduledInOrder) {
   EXPECT_LT(first1, solar.size());
 }
 
-// pareto_options is the parallel, scratch-reusing sweep. Its contract is
-// that it selects exactly what a serial loop over evaluate() selects: for
-// each miss count, the smallest E^c (within 1e-12), ties to the higher
-// final usable energy, remaining ties to the earliest subset. The reference
-// below enumerates the dependency-closed subsets itself, in ascending mask
-// order, and must match bit for bit at 1 and 4 threads.
+// pareto_options is the prefix-sharing sweep over all subsets at once. Its
+// contract is that it selects exactly what a serial loop over evaluate()
+// (the same kernel on one subset) selects: for each miss count, the
+// smallest E^c (within 1e-12), ties to the higher final usable energy,
+// remaining ties to the earliest subset. The reference below enumerates the
+// dependency-closed subsets itself, in ascending mask order, and must match
+// bit for bit at 1 and 4 threads. Both sides against a frozen evaluator that
+// shares no code with the kernel: period_kernel_oracle_test.cpp.
 std::vector<PeriodOption> serial_reference(const PeriodOptimizer& opt,
                                            const std::vector<double>& solar,
                                            double capacity_f, double v0) {

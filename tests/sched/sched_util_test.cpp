@@ -154,5 +154,19 @@ TEST(LoadMatch, InfeasibleCombosSkipped) {
   EXPECT_LE(load, 0.012 + 1e-9);
 }
 
+TEST(LoadMatch, EqualCostTieKeepsFirstCombination) {
+  // Two optional heads of equal power, either alone matching the target
+  // exactly: same cost, same task count, so the first combination the
+  // sweep visits (head 0 alone) wins.
+  const std::vector<LoadMatchHead> heads = {{4, 0.02, 300.0, false},
+                                            {7, 0.02, 300.0, false}};
+  EXPECT_EQ(load_match_heads(heads, 0.02, 1.0), 0b01u);
+  // A forced head always runs; the optional one joins when it fits.
+  const std::vector<LoadMatchHead> forced = {{4, 0.02, 300.0, true},
+                                             {7, 0.02, 300.0, false}};
+  EXPECT_EQ(load_match_heads(forced, 0.04, 1.0), 0b11u);
+  EXPECT_EQ(load_match_heads(forced, 0.04, 0.03), 0b01u);
+}
+
 }  // namespace
 }  // namespace solsched::sched
