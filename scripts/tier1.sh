@@ -126,7 +126,10 @@ echo "== tier 1: serve daemon drill ($BUILD_DIR) =="
 # loadgen burst, is SIGKILLed while a second loadgen is mid-flight, a
 # fresh daemon rebinds the same socket, the stranded clients reconnect
 # through backoff (exit 0 = every query eventually answered), and the
-# post-restart decision is byte-identical to the pre-kill one. train_days=1
+# post-restart decision is byte-identical to the pre-kill one. The clean
+# stop's "finished" snapshot watches to exit 0; a copy of the snapshot the
+# killed daemon left behind goes stale past its declared window (watch
+# exits 3, inspect serve 1). train_days=1
 # k-means-clusters each controller to a single capacitor, hence the single
 # --voltages entry and --caps 1.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L serve
@@ -152,6 +155,7 @@ SERVE_SOLAR="0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1"
   > "$SERVE_TMP/loadgen-kill.txt" &
 LOADGEN_PID=$!
 kill -9 "$SERVE_PID"
+cp "$SERVE_STATUS" "$SERVE_TMP/killed-status.json"
 "$BUILD_DIR/tools/solsched-serve" run --socket "$SERVE_SOCK" \
   --cache-dir "$CAMP_TMP/cache" --status "$SERVE_STATUS" \
   --status-interval-ms 50 &
@@ -166,6 +170,19 @@ cmp "$SERVE_TMP/pre.txt" "$SERVE_TMP/post.txt"
 "$BUILD_DIR/tools/solsched-serve" stop --socket "$SERVE_SOCK"
 wait "$SERVE_PID"
 "$BUILD_DIR/tools/solsched-inspect" serve "$SERVE_STATUS" > /dev/null
+"$BUILD_DIR/tools/solsched-serve" watch "$SERVE_STATUS" --plain --once
+# The snapshot the SIGKILLed daemon left says "running" and declares a
+# 500 ms window (10 x --status-interval-ms 50); past it, both readers call
+# the daemon gone.
+sleep 1
+rc=0
+"$BUILD_DIR/tools/solsched-serve" watch "$SERVE_TMP/killed-status.json" \
+  --plain --once || rc=$?
+[ "$rc" -eq 3 ] || { echo "expected exit 3 from watch on a killed daemon, got $rc"; exit 1; }
+rc=0
+"$BUILD_DIR/tools/solsched-inspect" serve "$SERVE_TMP/killed-status.json" \
+  > /dev/null || rc=$?
+[ "$rc" -eq 1 ] || { echo "expected exit 1 from inspect serve on a killed daemon, got $rc"; exit 1; }
 echo "serve kill/restart decisions bit-identical"
 
 echo "== tier 1: serve observability drill ($BUILD_DIR) =="

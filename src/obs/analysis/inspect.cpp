@@ -1,7 +1,7 @@
 #include "obs/analysis/inspect.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -17,6 +17,7 @@
 #include "obs/analysis/telemetry_view.hpp"
 #include "obs/analysis/timeline.hpp"
 #include "obs/sim_trace.hpp"
+#include "obs/span.hpp"
 #include "util/byte_format.hpp"
 #include "util/durable.hpp"
 #include "util/table.hpp"
@@ -45,12 +46,11 @@ constexpr const char* kUsage =
     "                                   collapsed stacks for speedscope\n"
     "  telemetry <campaign-dir>         one-shot campaign status render +\n"
     "                                   telemetry event census\n"
-    "  serve <status.json> [--max-age-ms N] [--now-ms N]\n"
+    "  serve <status.json> [--now-ms N]\n"
     "                                   render a solsched-serve status file;\n"
-    "                                   exit 1 when a \"running\" snapshot is\n"
-    "                                   older than the age bound (daemon\n"
-    "                                   presumed killed); --now-ms overrides\n"
-    "                                   the wall clock for reproducible runs\n"
+    "                                   exit 1 when it is stale (the daemon\n"
+    "                                   is presumed killed); --now-ms sets\n"
+    "                                   the clock for reproducible runs\n"
     "  slo <status.json>                render the daemon's SLO block; exit\n"
     "                                   1 while a burn-rate or p99 alert is\n"
     "                                   firing\n"
@@ -65,6 +65,20 @@ constexpr const char* kUsage =
     "traces are JSONL (--trace-out/--events-out output); a path ending in\n"
     ".csv is read as long-format CSV. exit codes: 0 ok, 1 check failed,\n"
     "2 usage or I/O error.\n";
+
+/// A numeric flag's value read to its end: decimal, or 0x-prefixed hex
+/// when `hex_ok`. "5x", "-1" or an out-of-range value names flag and token.
+std::uint64_t parse_flag_u64(const std::string& flag, const std::string& token,
+                             bool hex_ok = false) {
+  const bool hex = hex_ok && token.rfind("0x", 0) == 0;
+  const char* begin = token.data() + (hex ? 2 : 0);
+  const char* end = token.data() + token.size();
+  std::uint64_t value = 0;
+  const auto [stop, ec] = std::from_chars(begin, end, value, hex ? 16 : 10);
+  if (begin == end || ec != std::errc() || stop != end)
+    throw std::runtime_error(flag + ": invalid value \"" + token + "\"");
+  return value;
+}
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -270,8 +284,9 @@ int cmd_profile(const std::string& trace_path, const std::string& folded_out) {
 }
 
 int cmd_telemetry(const std::string& dir) {
-  const CampaignStatus status = parse_status(read_file(dir + "/status.json"));
-  std::printf("%s", render_status(status, /*plain=*/true).c_str());
+  const CampaignStatus status =
+      parse_campaign_status(read_file(dir + "/status.json"));
+  std::printf("%s", render_campaign_status(status, /*plain=*/true).c_str());
 
   const TelemetryLog log = load_telemetry(read_file(dir + "/telemetry.jsonl"));
   util::TextTable table;
@@ -287,11 +302,11 @@ int cmd_telemetry(const std::string& dir) {
   return 0;
 }
 
-int cmd_serve(const std::string& path, std::uint64_t now_ms,
-              std::uint64_t max_age_ms) {
+int cmd_serve(const std::string& path, std::uint64_t now_ms) {
   const ServeStatus status = parse_serve_status(read_file(path));
-  std::printf("%s", render_serve_status(status, now_ms, max_age_ms).c_str());
-  return serve_status_is_stale(status, now_ms, max_age_ms) ? 1 : 0;
+  std::printf("%s",
+              render_serve_status(status, /*plain=*/true, now_ms).c_str());
+  return is_stale(status, now_ms) ? 1 : 0;
 }
 
 int cmd_slo(const std::string& path) {
@@ -301,29 +316,8 @@ int cmd_slo(const std::string& path) {
                 path.c_str());
     return 0;
   }
-  const ServeStatus::Slo& slo = status.slo;
-  std::printf("slo targets: availability %.4f  p99 %llu us  "
-              "windows %llu/%llu s  burn alert >= %.1f\n",
-              slo.target_availability,
-              static_cast<unsigned long long>(slo.target_p99_us),
-              static_cast<unsigned long long>(slo.fast_window_s),
-              static_cast<unsigned long long>(slo.slow_window_s),
-              slo.burn_alert);
-  std::printf("observed:    availability %.4f (fast) %.4f (slow)  "
-              "burn %.2f/%.2f  p99 %llu/%llu us\n",
-              slo.availability_fast, slo.availability_slow, slo.burn_fast,
-              slo.burn_slow,
-              static_cast<unsigned long long>(slo.p99_fast_us),
-              static_cast<unsigned long long>(slo.p99_slow_us));
-  if (slo.alert) {
-    std::printf("verdict:     ALERT (%s%s%s)\n",
-                slo.alert_availability ? "availability-burn" : "",
-                slo.alert_availability && slo.alert_p99 ? ", " : "",
-                slo.alert_p99 ? "p99-latency" : "");
-    return 1;
-  }
-  std::printf("verdict:     ok (error budget intact)\n");
-  return 0;
+  std::printf("%s", render_slo(status.slo).c_str());
+  return status.slo.alert ? 1 : 0;
 }
 
 int cmd_timeline(const std::vector<std::string>& paths,
@@ -368,7 +362,7 @@ int run_inspect(int argc, const char* const* argv) {
       if (args.size() == 4) {
         if (args[2] != "--max-rows") throw std::runtime_error(
             "unknown flag: " + args[2]);
-        max_rows = static_cast<std::size_t>(std::stoull(args[3]));
+        max_rows = static_cast<std::size_t>(parse_flag_u64(args[2], args[3]));
       }
       return cmd_ledger(args[1], max_rows);
     }
@@ -412,21 +406,14 @@ int run_inspect(int argc, const char* const* argv) {
 
     if (cmd == "telemetry" && args.size() == 2) return cmd_telemetry(args[1]);
 
-    if (cmd == "serve" && args.size() >= 2 && args.size() % 2 == 0) {
-      std::uint64_t max_age_ms = 5000;
-      std::uint64_t now_ms = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::system_clock::now().time_since_epoch())
-              .count());
-      for (std::size_t i = 2; i + 1 < args.size(); i += 2) {
-        if (args[i] == "--max-age-ms")
-          max_age_ms = std::stoull(args[i + 1]);
-        else if (args[i] == "--now-ms")
-          now_ms = std::stoull(args[i + 1]);
-        else
-          throw std::runtime_error("unknown flag: " + args[i]);
+    if (cmd == "serve" && (args.size() == 2 || args.size() == 4)) {
+      std::uint64_t now_ms = wall_us() / 1000;
+      if (args.size() == 4) {
+        if (args[2] != "--now-ms")
+          throw std::runtime_error("unknown flag: " + args[2]);
+        now_ms = parse_flag_u64(args[2], args[3]);
       }
-      return cmd_serve(args[1], now_ms, max_age_ms);
+      return cmd_serve(args[1], now_ms);
     }
 
     if (cmd == "slo" && args.size() == 2) return cmd_slo(args[1]);
@@ -439,7 +426,8 @@ int run_inspect(int argc, const char* const* argv) {
         if (args[i] == "--trace-id") {
           if (i + 1 >= args.size())
             throw std::runtime_error("--trace-id needs a value");
-          trace_id = std::stoull(args[++i], nullptr, 0);  // 0x... or decimal.
+          trace_id = parse_flag_u64(args[i], args[i + 1], /*hex_ok=*/true);
+          ++i;
           if (trace_id == 0)
             throw std::runtime_error("--trace-id must be nonzero");
         } else if (args[i] == "--merged-out") {

@@ -2,14 +2,11 @@
 
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
 
 namespace solsched::obs::analysis {
 namespace {
-
-constexpr const char* kServeStatusMagic = "solsched-serve-v1";
 
 std::uint64_t u64_of(const JsonValue& doc, const char* key) {
   return static_cast<std::uint64_t>(doc.number_or(key));
@@ -19,14 +16,8 @@ std::uint64_t u64_of(const JsonValue& doc, const char* key) {
 
 ServeStatus parse_serve_status(const std::string& json_text) {
   const JsonValue doc = parse_json(json_text);
-  if (doc.string_or("status") != kServeStatusMagic)
-    throw std::runtime_error(
-        "serve status.json: missing or unknown \"status\" magic (expected "
-        "\"" +
-        std::string(kServeStatusMagic) + "\")");
   ServeStatus out;
-  out.state = doc.string_or("state");
-  out.wall_ms = u64_of(doc, "wall_ms");
+  static_cast<StatusHeader&>(out) = parse_status_header(doc, "serve");
   out.pid = u64_of(doc, "pid");
   out.socket = doc.string_or("socket");
   out.controllers = static_cast<std::size_t>(doc.number_or("controllers"));
@@ -77,31 +68,42 @@ ServeStatus parse_serve_status(const std::string& json_text) {
   return out;
 }
 
-bool serve_status_is_stale(const ServeStatus& status,
-                           std::uint64_t now_wall_ms,
-                           std::uint64_t max_age_ms) {
-  if (status.state == "stopped" || now_wall_ms == 0) return false;
-  return now_wall_ms > status.wall_ms &&
-         now_wall_ms - status.wall_ms > max_age_ms;
-}
-
-std::string render_serve_status(const ServeStatus& status,
-                                std::uint64_t now_wall_ms,
-                                std::uint64_t max_age_ms) {
+std::string render_slo(const ServeStatus::Slo& slo) {
   std::ostringstream out;
   char line[256];
-  out << "solsched-serve  state " << status.state;
-  // Snapshot age tells the reader how fresh everything below is; a stale
-  // "running" snapshot names the age the daemon has been silent for.
-  if (now_wall_ms > status.wall_ms) {
-    const double age_s =
-        static_cast<double>(now_wall_ms - status.wall_ms) / 1000.0;
-    std::snprintf(line, sizeof(line), "  (age %.1f s)", age_s);
-    out << line;
+  std::snprintf(line, sizeof(line),
+                "  slo: target availability %.4f  target p99 %llu us  "
+                "windows %llu/%llu s  burn alert >= %.1f\n",
+                slo.target_availability,
+                static_cast<unsigned long long>(slo.target_p99_us),
+                static_cast<unsigned long long>(slo.fast_window_s),
+                static_cast<unsigned long long>(slo.slow_window_s),
+                slo.burn_alert);
+  out << line;
+  std::snprintf(line, sizeof(line),
+                "  slo: availability %.4f/%.4f  burn %.2f/%.2f  "
+                "p99 %llu/%llu us (fast/slow)\n",
+                slo.availability_fast, slo.availability_slow,
+                slo.burn_fast, slo.burn_slow,
+                static_cast<unsigned long long>(slo.p99_fast_us),
+                static_cast<unsigned long long>(slo.p99_slow_us));
+  out << line;
+  if (slo.alert) {
+    out << "  slo: ALERT";
+    if (slo.alert_availability) out << " availability-burn";
+    if (slo.alert_p99) out << " p99-latency";
+    out << "\n";
+  } else {
+    out << "  slo: ok\n";
   }
-  if (serve_status_is_stale(status, now_wall_ms, max_age_ms))
-    out << "  (stale: daemon gone?)";
-  out << "\n";
+  return out.str();
+}
+
+std::string render_serve_status(const ServeStatus& status, bool plain,
+                                std::uint64_t now_wall_ms) {
+  std::ostringstream out;
+  char line[256];
+  out << render_status_header(status, "solsched-serve", plain, now_wall_ms);
   std::snprintf(line, sizeof(line), "  pid %llu  socket %s\n",
                 static_cast<unsigned long long>(status.pid),
                 status.socket.c_str());
@@ -153,33 +155,7 @@ std::string render_serve_status(const ServeStatus& status,
   std::snprintf(line, sizeof(line), "  availability %.4f\n",
                 status.availability);
   out << line;
-  if (status.has_slo) {
-    std::snprintf(line, sizeof(line),
-                  "  slo: target availability %.4f  target p99 %llu us  "
-                  "windows %llu/%llu s  burn alert >= %.1f\n",
-                  status.slo.target_availability,
-                  static_cast<unsigned long long>(status.slo.target_p99_us),
-                  static_cast<unsigned long long>(status.slo.fast_window_s),
-                  static_cast<unsigned long long>(status.slo.slow_window_s),
-                  status.slo.burn_alert);
-    out << line;
-    std::snprintf(line, sizeof(line),
-                  "  slo: availability %.4f/%.4f  burn %.2f/%.2f  "
-                  "p99 %llu/%llu us (fast/slow)\n",
-                  status.slo.availability_fast, status.slo.availability_slow,
-                  status.slo.burn_fast, status.slo.burn_slow,
-                  static_cast<unsigned long long>(status.slo.p99_fast_us),
-                  static_cast<unsigned long long>(status.slo.p99_slow_us));
-    out << line;
-    if (status.slo.alert) {
-      out << "  slo: ALERT";
-      if (status.slo.alert_availability) out << " availability-burn";
-      if (status.slo.alert_p99) out << " p99-latency";
-      out << "\n";
-    } else {
-      out << "  slo: ok\n";
-    }
-  }
+  if (status.has_slo) out << render_slo(status.slo);
   return out.str();
 }
 

@@ -1,22 +1,25 @@
-// Reader/renderer side of the solsched-serve status file (DESIGN.md §16).
+// Reader/renderer of the serve body of a status file (DESIGN.md §16).
 //
-// serve::Server rewrites status.json (tmp -> rename) on a fixed cadence;
-// this module is the consumer: `solsched-inspect serve` does a one-shot
-// render with a staleness verdict. Kept in obs/analysis (not serve) because
-// it depends only on json_mini and must stay usable when the daemon is a
-// corpse — the whole point is diagnosing a kill -9 from the file it left
-// behind.
+// serve::Server rewrites status.json (util::atomic_replace) on a fixed
+// cadence; the envelope, staleness rule and watch loop are status_view's,
+// this module reads and renders the daemon's counters: `solsched-inspect
+// serve` does a one-shot render with a staleness verdict, `inspect slo`
+// reads the SLO block. Kept in obs/analysis (not serve) because it depends
+// only on json_mini and must stay usable when the daemon is a corpse — the
+// whole point is diagnosing a kill -9 from the file it left behind.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "obs/analysis/status_view.hpp"
+
 namespace solsched::obs::analysis {
 
-/// Parsed solsched-serve status.json snapshot.
-struct ServeStatus {
-  std::string state;  ///< starting | running | stopped.
-  std::uint64_t wall_ms = 0;  ///< Snapshot wall-clock (epoch ms).
+/// Parsed solsched-serve status.json snapshot: the envelope plus the body.
+/// The daemon writes "running" while it serves and "finished" on a clean
+/// stop.
+struct ServeStatus : StatusHeader {
   std::uint64_t pid = 0;
   std::string socket;
   std::size_t controllers = 0;
@@ -27,8 +30,7 @@ struct ServeStatus {
   std::uint64_t requests = 0;
   std::uint64_t decisions = 0;
   std::uint64_t fallbacks = 0;
-  /// Degradation-ladder rung counts (absent keys parse as 0, so pre-rung
-  /// status files still load).
+  /// Degradation-ladder rung counts.
   std::uint64_t fallback_no_controller = 0;
   std::uint64_t fallback_corrupt = 0;
   std::uint64_t fallback_budget = 0;
@@ -43,8 +45,7 @@ struct ServeStatus {
   std::uint64_t latency_sum_us = 0;
   std::uint64_t p50_us = 0;
   std::uint64_t p99_us = 0;
-  /// Lifetime good-verdict fraction; 1.0 for an idle daemon (and for
-  /// pre-availability status files, where the key is absent).
+  /// Lifetime good-verdict fraction; 1.0 for an idle daemon.
   double availability = 1.0;
 
   /// SLO block (present only when the daemon was started with targets).
@@ -69,20 +70,16 @@ struct ServeStatus {
 };
 
 /// Parses a serve status.json document. Throws std::runtime_error on
-/// malformed JSON or a missing/unknown "status" magic.
+/// malformed JSON or an envelope parse_status_header() refuses.
 ServeStatus parse_serve_status(const std::string& json_text);
 
-/// True when a "running" snapshot is older than `max_age_ms` — the daemon
-/// was killed without writing its final "stopped" snapshot (kill -9 leaves
-/// the last "running" one behind forever). now_wall_ms = 0 skips the check.
-bool serve_status_is_stale(const ServeStatus& status,
-                           std::uint64_t now_wall_ms,
-                           std::uint64_t max_age_ms);
+/// The SLO block as `inspect serve` and `inspect slo` print it: targets,
+/// fast/slow observations and the verdict ("slo: ok" or "slo: ALERT ...").
+std::string render_slo(const ServeStatus::Slo& slo);
 
-/// Renders the snapshot as a plain-ASCII block; now_wall_ms (epoch ms,
-/// 0 = skip) adds the staleness note.
-std::string render_serve_status(const ServeStatus& status,
-                                std::uint64_t now_wall_ms = 0,
-                                std::uint64_t max_age_ms = 5000);
+/// Renders the snapshot as a terminal block (ANSI header unless `plain`);
+/// now_wall_ms (epoch ms, 0 = skip) adds the snapshot age and stale note.
+std::string render_serve_status(const ServeStatus& status, bool plain,
+                                std::uint64_t now_wall_ms = 0);
 
 }  // namespace solsched::obs::analysis

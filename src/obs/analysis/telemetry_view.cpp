@@ -1,6 +1,5 @@
 #include "obs/analysis/telemetry_view.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -10,7 +9,6 @@
 namespace solsched::obs::analysis {
 namespace {
 
-constexpr const char* kStatusMagic = "solsched-campaign-status-v1";
 constexpr const char* kTelemetryMagic = "solsched-campaign-telemetry-v1";
 
 std::string fmt_duration(double seconds) {
@@ -45,16 +43,11 @@ std::string progress_bar(std::size_t done, std::size_t total, bool plain,
 
 }  // namespace
 
-CampaignStatus parse_status(const std::string& json_text) {
+CampaignStatus parse_campaign_status(const std::string& json_text) {
   const JsonValue doc = parse_json(json_text);
-  if (doc.string_or("status") != kStatusMagic)
-    throw std::runtime_error(
-        "status.json: missing or unknown \"status\" magic (expected \"" +
-        std::string(kStatusMagic) + "\")");
   CampaignStatus out;
+  static_cast<StatusHeader&>(out) = parse_status_header(doc, "campaign");
   out.spec_digest = doc.string_or("spec_digest");
-  out.state = doc.string_or("state");
-  out.wall_ms = static_cast<std::uint64_t>(doc.number_or("wall_ms"));
   out.elapsed_ms = static_cast<std::uint64_t>(doc.number_or("elapsed_ms"));
   out.threads = static_cast<std::size_t>(doc.number_or("threads"));
   out.heartbeat_ms = static_cast<std::uint64_t>(doc.number_or("heartbeat_ms"));
@@ -92,48 +85,14 @@ CampaignStatus parse_status(const std::string& json_text) {
   return out;
 }
 
-bool status_is_stale(const CampaignStatus& status,
-                     std::uint64_t now_wall_ms) {
-  if (status.state != "running" || now_wall_ms == 0) return false;
-  // Five missed heartbeats (or the stall window, whichever is longer) with
-  // no snapshot rewrite means the writer is gone, not just busy — the
-  // watchdog rewrites status.json on every heartbeat tick.
-  const std::uint64_t window =
-      std::max<std::uint64_t>(status.stall_ms, 5 * status.heartbeat_ms);
-  return now_wall_ms > status.wall_ms && now_wall_ms - status.wall_ms > window;
-}
-
-int status_exit_code(const CampaignStatus& status) {
-  if (status.state == "finished") return 0;
-  if (status.state == "failed") return 1;
-  return 3;  // stopped, or running-with-no-writer: resume me.
-}
-
-std::string render_status(const CampaignStatus& status, bool plain,
-                          std::uint64_t now_wall_ms) {
-  const char* bold = plain ? "" : "\033[1m";
+std::string render_campaign_status(const CampaignStatus& status, bool plain,
+                                   std::uint64_t now_wall_ms) {
   const char* dim = plain ? "" : "\033[2m";
   const char* reset = plain ? "" : "\033[0m";
-  const char* state_color = "";
-  if (!plain) {
-    if (status.state == "finished")
-      state_color = "\033[32m";  // green
-    else if (status.state == "failed")
-      state_color = "\033[31m";  // red
-    else if (status.state == "stopped")
-      state_color = "\033[33m";  // yellow
-    else
-      state_color = "\033[36m";  // cyan: running
-  }
-
   std::ostringstream out;
   char line[256];
-  out << bold << "campaign " << status.spec_digest << reset << "  state "
-      << state_color << status.state << reset;
-  if (status_is_stale(status, now_wall_ms))
-    out << "  " << (plain ? "(stale: writer gone?)"
-                          : "\033[31m(stale: writer gone?)\033[0m");
-  out << "\n";
+  out << render_status_header(status, "campaign " + status.spec_digest, plain,
+                              now_wall_ms);
 
   const double pct =
       status.total > 0

@@ -1,5 +1,6 @@
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -12,14 +13,7 @@ namespace solsched::obs {
 namespace {
 
 constexpr const char* kMagic = "solsched-campaign-telemetry-v1";
-constexpr const char* kStatusMagic = "solsched-campaign-status-v1";
-
-std::uint64_t wall_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
+constexpr const char* kWho = "solsched-campaign: telemetry";
 
 }  // namespace
 
@@ -42,9 +36,10 @@ TelemetryBus::TelemetryBus(Options options)
       log_(options_.dir + "/telemetry.jsonl",
            "{\"telemetry\": \"" + std::string(kMagic) +
                "\", \"spec_digest\": \"" +
-               util::json_escape(options_.spec_digest) + "\"}") {
+               util::json_escape(options_.spec_digest) + "\"}"),
+      log_guard_(kWho),
+      status_guard_(kWho) {
   start_us_ = now_us();
-  start_wall_ms_ = wall_now_ms();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     write_status_locked();
@@ -65,7 +60,7 @@ TelemetryBus::~TelemetryBus() {
     if (!finish_seen_) {
       // Destroyed while unwinding an exception: the run did not reach its
       // finish line. Record that so watchers can exit non-zero.
-      state_ = "failed";
+      state_ = RunState::kFailed;
       publish_locked("campaign.failed", kTelemetryNoShard, "", "",
                      /*sync=*/true);
     }
@@ -78,7 +73,7 @@ void TelemetryBus::publish_locked(std::string type, std::uint64_t shard,
                                   bool sync) {
   TelemetryEvent ev;
   ev.seq = seq_++;
-  ev.wall_ms = wall_now_ms();
+  ev.wall_ms = wall_us() / 1000;
   ev.type = std::move(type);
   ev.shard = shard;
   ev.workload = std::move(workload);
@@ -86,7 +81,7 @@ void TelemetryBus::publish_locked(std::string type, std::uint64_t shard,
   // fsync batches: syncing here flushes every pending per-shard event too,
   // so durability lags by at most one heartbeat interval while the shard
   // hot path pays only a buffered write().
-  log_.append(ev.to_json(), sync);
+  log_guard_([&] { log_.append(ev.to_json(), sync); });
   OBS_COUNTER_ADD("campaign.telemetry.events", 1);
 }
 
@@ -184,7 +179,7 @@ void TelemetryBus::shard_failed(std::uint64_t shard, const std::string& what) {
 void TelemetryBus::campaign_finish(bool complete) {
   std::lock_guard<std::mutex> lock(mutex_);
   finish_seen_ = true;
-  state_ = complete ? "finished" : "stopped";
+  state_ = complete ? RunState::kFinished : RunState::kStopped;
   publish_locked(complete ? "campaign.finish" : "campaign.stop",
                  kTelemetryNoShard, "", "", /*sync=*/true);
   write_status_locked();
@@ -252,12 +247,15 @@ std::string TelemetryBus::status_json_locked() const {
           ? static_cast<double>(artifact_hits_) / static_cast<double>(executed_)
           : 0.0;
 
-  std::string out = "{\n";
-  out += "  \"status\": \"" + std::string(kStatusMagic) + "\",\n";
+  // The watchdog rewrites the snapshot every heartbeat; five missed ones,
+  // or the stall window if longer, mean the writer is gone, not busy.
+  std::string out = status_envelope(
+      "campaign", state_,
+      options_.heartbeat_ms == 0
+          ? 0
+          : std::max(options_.stall_ms, 5 * options_.heartbeat_ms));
   out += "  \"spec_digest\": \"" + util::json_escape(options_.spec_digest) +
          "\",\n";
-  out += "  \"state\": \"" + state_ + "\",\n";
-  out += "  \"wall_ms\": " + std::to_string(wall_now_ms()) + ",\n";
   out += "  \"elapsed_ms\": " + std::to_string(elapsed_us / 1000) + ",\n";
   out += "  \"threads\": " + std::to_string(options_.threads) + ",\n";
   out += "  \"heartbeat_ms\": " + std::to_string(options_.heartbeat_ms) + ",\n";
@@ -308,35 +306,14 @@ std::string TelemetryBus::status_json_locked() const {
 
 void TelemetryBus::write_status_locked() {
   // A watcher never sees a torn snapshot.
-  util::atomic_replace(options_.dir + "/status.json", status_json_locked());
-}
-
-void TelemetryBus::write_status() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  write_status_locked();
+  status_guard_([this] {
+    util::atomic_replace(options_.dir + "/status.json", status_json_locked());
+  });
 }
 
 std::string TelemetryBus::status_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return status_json_locked();
-}
-
-TelemetryBus::Snapshot TelemetryBus::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Snapshot s;
-  s.state = state_;
-  s.total = total_;
-  s.done = resumed_ + executed_;
-  s.resumed = resumed_;
-  s.in_flight = in_flight_.size();
-  s.failed = failed_;
-  s.stalled = stalled_;
-  s.executed = executed_;
-  s.artifact_hits = artifact_hits_;
-  s.trainings = trainings_;
-  s.heartbeats = heartbeats_;
-  s.events = seq_;
-  return s;
 }
 
 }  // namespace solsched::obs

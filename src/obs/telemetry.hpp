@@ -14,10 +14,15 @@
 //    loses at most one heartbeat interval of observational events (the
 //    fsync'd Journal remains the ground truth for results).
 //  * status.json — a periodically rewritten (util::atomic_replace, never
-//    torn) snapshot: shards done/total, per-workload ETA from observed shard
+//    torn) snapshot in the shared status envelope (obs/status.hpp, kind
+//    "campaign"): shards done/total, per-workload ETA from observed shard
 //    durations, artifact-cache hit rate, throughput in shards/min, and the
-//    campaign state (running/stopped/finished/failed). `solsched-campaign
-//    watch` renders it; its state field is the run's exit-code contract.
+//    campaign state. `solsched-campaign watch` renders it; its state field
+//    is the run's exit-code contract.
+//
+// Telemetry observes the campaign and never ends it: a failed write to
+// either file (full disk, directory removed) is reported once on stderr
+// and the run goes on (obs::WriteGuard).
 //
 // The bus also owns the straggler watchdog: a background thread that wakes
 // every heartbeat_ms to publish a heartbeat, rewrite status.json, and flag
@@ -46,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/status.hpp"
 #include "util/durable.hpp"
 
 namespace solsched::obs {
@@ -75,39 +81,23 @@ class TelemetryBus {
     std::string dir;          ///< Campaign directory; files land inside it.
     std::string spec_digest;  ///< Hex spec digest for the stream header.
     /// Heartbeat + status.json rewrite cadence; 0 disables the watchdog
-    /// thread (events and explicit write_status() still work).
+    /// thread (events and explicit tick() still work).
     std::uint64_t heartbeat_ms = 1000;
     /// No-event window after which an in-flight shard is flagged stalled.
     std::uint64_t stall_ms = 30000;
     std::size_t threads = 1;  ///< Worker parallelism, for ETA math.
   };
 
-  /// Rolling counters, exposed for tests and for status_json().
-  struct Snapshot {
-    std::string state;        ///< running | stopped | finished | failed.
-    std::size_t total = 0;    ///< Shards in the grid.
-    std::size_t done = 0;     ///< Journaled shards (resumed + executed).
-    std::size_t resumed = 0;  ///< Already journaled when the run started.
-    std::size_t in_flight = 0;
-    std::size_t failed = 0;
-    std::size_t stalled = 0;  ///< Shards flagged by the watchdog (ever).
-    std::size_t executed = 0; ///< Shards completed by this process.
-    std::size_t artifact_hits = 0;  ///< Executed shards reusing an artifact.
-    std::size_t trainings = 0;
-    std::uint64_t heartbeats = 0;
-    std::uint64_t events = 0; ///< Lines appended to telemetry.jsonl.
-  };
-
   /// Opens (or resumes) <dir>/telemetry.jsonl as a util::AppendLog —
   /// healing a crash-torn tail, then appending a header line when the file
   /// is fresh — writes an initial "running" status.json, and starts the
   /// watchdog thread when heartbeat_ms > 0. Throws std::runtime_error on
-  /// I/O failure.
+  /// I/O failure to open telemetry.jsonl.
   explicit TelemetryBus(Options options);
   /// Stops the watchdog and writes the final status.json. A bus destroyed
   /// without campaign_finish() records state "failed" (the run unwound
   /// through an exception); a kill leaves the last "running" snapshot,
-  /// which watchers age out via its wall_ms.
+  /// which watchers age out via its wall_ms and stale_after_ms.
   ~TelemetryBus();
 
   TelemetryBus(const TelemetryBus&) = delete;
@@ -130,15 +120,8 @@ class TelemetryBus {
   /// a heartbeat event, flags stalled shards, rewrites status.json.
   void tick();
 
-  /// Rewrites <dir>/status.json with util::atomic_replace.
-  void write_status();
-
-  /// Current snapshot JSON (the exact bytes write_status persists).
+  /// Current snapshot JSON (the bytes each status.json rewrite persists).
   std::string status_json() const;
-
-  Snapshot snapshot() const;
-
-  const std::string& dir() const noexcept { return options_.dir; }
 
  private:
   struct InFlight {
@@ -171,10 +154,11 @@ class TelemetryBus {
   std::thread watchdog_;
 
   util::AppendLog log_;  ///< telemetry.jsonl; appended under mutex_.
+  WriteGuard log_guard_;     ///< Appends to log_; under mutex_.
+  WriteGuard status_guard_;  ///< status.json rewrites; under mutex_.
   std::uint64_t seq_ = 0;
   std::uint64_t start_us_ = 0;       ///< steady now_us() at construction.
-  std::uint64_t start_wall_ms_ = 0;
-  std::string state_ = "running";
+  RunState state_ = RunState::kRunning;
   bool finish_seen_ = false;
 
   std::size_t total_ = 0;

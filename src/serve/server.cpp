@@ -25,13 +25,6 @@ const std::vector<double>& latency_bounds_ms() {
   return bounds;
 }
 
-std::uint64_t wall_ms_now() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
 /// read() the exact byte count; false on EOF/error before completion.
 bool read_exact(int fd, std::uint8_t* out, std::size_t size) {
   std::size_t got = 0;
@@ -62,13 +55,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
     return false;
   }
   return true;
-}
-
-/// Fixed-precision fraction for status.json (availability, burn rates).
-void json_fraction(std::ostringstream& out, double x) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", x);
-  out << buf;
 }
 
 /// Degradation-ladder rung label for a DecisionReply fallback code.
@@ -133,7 +119,7 @@ Server::Server(Options options)
 Server::~Server() { stop(); }
 
 void Server::start() {
-  persist("running");
+  persist(obs::RunState::kRunning);
   accept_thread_ = std::thread([this] { accept_main(); });
   dispatch_thread_ = std::thread([this] {
     // The worker pool: `workers` long-running loop bodies over the bounded
@@ -198,13 +184,13 @@ void Server::stop() {
   if (status_thread_.joinable()) status_thread_.join();
 
   ::unlink(options_.socket_path.c_str());
-  // Final tick after the status thread is gone: the stopped snapshot and
+  // Final tick after the status thread is gone: the finished snapshot and
   // the time-series tail both reflect the very last counters, and a traced
   // session's spans are flushed rather than lost with the process.
   observe_tick();
   if (!options_.trace_path.empty() && obs::trace_events_enabled())
     obs::write_chrome_trace(options_.trace_path);
-  persist("stopped");
+  persist(obs::RunState::kFinished);
 }
 
 void Server::accept_main() {
@@ -531,13 +517,14 @@ void Server::send_error(const std::shared_ptr<Conn>& conn, ErrorCode code,
              query_reply);
 }
 
-std::string Server::status_json(const std::string& state) const {
+std::string Server::status_json(obs::RunState state) const {
   const ServeStats::Snapshot s = stats_.snapshot();
   std::ostringstream out;
-  out << "{\n";
-  out << "  \"status\": \"solsched-serve-v1\",\n";
-  out << "  \"state\": \"" << state << "\",\n";
-  out << "  \"wall_ms\": " << wall_ms_now() << ",\n";
+  // The status thread rewrites the file every status_interval_ms; ten
+  // missed rewrites mean the daemon is gone. With no periodic rewrite the
+  // daemon promises nothing, so the file never goes stale.
+  out << obs::status_envelope("serve", state,
+                              10 * options_.status_interval_ms);
   out << "  \"pid\": " << ::getpid() << ",\n";
   out << "  \"socket\": \"" << util::json_escape(options_.socket_path)
       << "\",\n";
@@ -573,33 +560,26 @@ std::string Server::status_json(const std::string& state) const {
       verdicts > 0
           ? static_cast<double>(s.decisions) / static_cast<double>(verdicts)
           : 1.0;
-  out << "  \"availability\": ";
-  json_fraction(out, availability);
+  out << "  \"availability\": " << util::format_shortest(availability);
   if (slo_) {
     const obs::SloEngine::Status slo = slo_->status();
     const obs::SloConfig& cfg = slo_->config();
     out << ",\n  \"slo\": {\n";
-    out << "    \"target_availability\": ";
-    json_fraction(out, cfg.target_availability);
-    out << ",\n";
+    out << "    \"target_availability\": "
+        << util::format_shortest(cfg.target_availability) << ",\n";
     out << "    \"target_p99_us\": " << cfg.target_p99_us << ",\n";
     out << "    \"fast_window_s\": " << cfg.fast_window_s << ",\n";
     out << "    \"slow_window_s\": " << cfg.slow_window_s << ",\n";
-    out << "    \"burn_alert\": ";
-    json_fraction(out, cfg.burn_alert);
-    out << ",\n";
-    out << "    \"availability_fast\": ";
-    json_fraction(out, slo.availability_fast);
-    out << ",\n";
-    out << "    \"availability_slow\": ";
-    json_fraction(out, slo.availability_slow);
-    out << ",\n";
-    out << "    \"burn_fast\": ";
-    json_fraction(out, slo.burn_fast);
-    out << ",\n";
-    out << "    \"burn_slow\": ";
-    json_fraction(out, slo.burn_slow);
-    out << ",\n";
+    out << "    \"burn_alert\": "
+        << util::format_shortest(cfg.burn_alert) << ",\n";
+    out << "    \"availability_fast\": "
+        << util::format_shortest(slo.availability_fast) << ",\n";
+    out << "    \"availability_slow\": "
+        << util::format_shortest(slo.availability_slow) << ",\n";
+    out << "    \"burn_fast\": "
+        << util::format_shortest(slo.burn_fast) << ",\n";
+    out << "    \"burn_slow\": "
+        << util::format_shortest(slo.burn_slow) << ",\n";
     out << "    \"p99_fast_us\": " << slo.p99_fast_us << ",\n";
     out << "    \"p99_slow_us\": " << slo.p99_slow_us << ",\n";
     out << "    \"alert_availability\": "
@@ -617,7 +597,7 @@ void Server::observe_tick() {
   if (slo_) {
     const ServeStats::Snapshot s = stats_.snapshot();
     obs::SloSample sample;
-    sample.wall_ms = wall_ms_now();
+    sample.wall_ms = obs::wall_us() / 1000;
     // `errors` is the superset refusal counter (shed, timeouts, internal —
     // everything except malformed, which never reached a verdict).
     sample.bad = s.errors;
@@ -636,21 +616,17 @@ void Server::observe_tick() {
     if (!tsdb_)
       tsdb_ = std::make_unique<obs::TimeseriesStore>(
           options_.timeseries_capacity);
-    tsdb_->sample(wall_ms_now(), obs::MetricsRegistry::global().snapshot());
+    tsdb_->sample(obs::wall_us() / 1000,
+                  obs::MetricsRegistry::global().snapshot());
   }
 }
 
-void Server::persist(const std::string& state) {
-  try {
+void Server::persist(obs::RunState state) {
+  persist_guard_([&] {
     if (tsdb_) tsdb_->write_jsonl(options_.timeseries_path);
     if (!options_.status_path.empty())
       util::atomic_replace(options_.status_path, status_json(state));
-    persist_failing_ = false;
-  } catch (const std::exception& e) {
-    if (!persist_failing_)
-      std::fprintf(stderr, "solsched-serve: %s (still serving)\n", e.what());
-    persist_failing_ = true;
-  }
+  });
 }
 
 void Server::status_main() {
@@ -661,7 +637,7 @@ void Server::status_main() {
     if (stop_requested_) break;
     lock.unlock();
     observe_tick();
-    persist("running");
+    persist(obs::RunState::kRunning);
     lock.lock();
   }
 }

@@ -12,7 +12,8 @@
 //    remaining budget to the engine, which degrades to the LSA fallback
 //    when inference cannot fit;
 //  * one status thread rewrites status.json (util::atomic_replace, never
-//    torn) on a fixed cadence and a final "stopped" snapshot on shutdown.
+//    torn; the shared envelope of obs/status.hpp, kind "serve") on a fixed
+//    cadence and a final "finished" snapshot on shutdown.
 //
 // Every reply to a query passes the optional ServeFaultPlan hook
 // (drop/delay/corrupt), which the adversarial client tests drive.
@@ -30,6 +31,7 @@
 
 #include "fault/serve_faults.hpp"
 #include "obs/slo.hpp"
+#include "obs/status.hpp"
 #include "obs/tsdb.hpp"
 #include "serve/engine.hpp"
 #include "serve/protocol.hpp"
@@ -78,7 +80,7 @@ class Server {
 
   /// Graceful stop: closes the listener, drains readers, answers queued
   /// requests with SERVE_SHUTTING_DOWN, joins every thread and writes the
-  /// final "stopped" status. Idempotent.
+  /// final "finished" status. Idempotent.
   void stop();
 
   /// Blocks until a client kShutdown frame (or request_stop()) arrives.
@@ -100,8 +102,9 @@ class Server {
     return options_.socket_path;
   }
 
-  /// The status.json bytes for the given lifecycle state.
-  std::string status_json(const std::string& state) const;
+  /// The status.json bytes for the given lifecycle state. Declares
+  /// stale_after_ms = 10 · status_interval_ms (0 = no periodic rewrite).
+  std::string status_json(obs::RunState state) const;
 
  private:
   struct Conn {
@@ -145,14 +148,14 @@ class Server {
   /// Writes the time-series ring and status.json. Never throws: a full
   /// disk must not stop the daemon, so a failure goes to stderr once until
   /// a write succeeds again.
-  void persist(const std::string& state);
+  void persist(obs::RunState state);
 
   Options options_;
   DecisionEngine engine_;
   ServeStats stats_;
   std::unique_ptr<obs::SloEngine> slo_;        ///< Null when SLO-free.
   std::unique_ptr<obs::TimeseriesStore> tsdb_; ///< Lazy; status thread only.
-  bool persist_failing_ = false;  ///< Like tsdb_: status thread (or stop).
+  obs::WriteGuard persist_guard_{"solsched-serve"};  ///< Like tsdb_.
 
   // Atomic: stop() closes the listener from another thread while
   // accept_main() is reading it into accept().

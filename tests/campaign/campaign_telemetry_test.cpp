@@ -49,7 +49,7 @@ std::string slurp(const std::string& path) {
 }
 
 obs::analysis::CampaignStatus status_of(const std::string& dir) {
-  return obs::analysis::parse_status(slurp(dir + "/status.json"));
+  return obs::analysis::parse_campaign_status(slurp(dir + "/status.json"));
 }
 
 class CampaignTelemetry : public ::testing::Test {
@@ -102,7 +102,7 @@ TEST_F(CampaignTelemetry, FinishedRunSnapshotAccounting) {
   ASSERT_TRUE(result.finished);
 
   const obs::analysis::CampaignStatus status = status_of(config.dir);
-  EXPECT_EQ(status.state, "finished");
+  EXPECT_EQ(status.state, obs::RunState::kFinished);
   EXPECT_EQ(status.total, 8u);
   EXPECT_EQ(status.done, 8u);
   EXPECT_EQ(status.executed, 8u);
@@ -143,7 +143,7 @@ TEST_F(CampaignTelemetry, KilledThenResumedReportsCorrectDoneTotal) {
 
   // Checkpoint 1: stopped, done == executed so far, correct total.
   obs::analysis::CampaignStatus status = status_of(config.dir);
-  EXPECT_EQ(status.state, "stopped");
+  EXPECT_EQ(status.state, obs::RunState::kStopped);
   EXPECT_EQ(status.total, 64u);
   EXPECT_EQ(status.done, stopped.executed);
   EXPECT_EQ(status.resumed, 0u);
@@ -155,7 +155,7 @@ TEST_F(CampaignTelemetry, KilledThenResumedReportsCorrectDoneTotal) {
   const CampaignResult resumed = run_campaign(config);
   ASSERT_TRUE(resumed.finished);
   status = status_of(config.dir);
-  EXPECT_EQ(status.state, "finished");
+  EXPECT_EQ(status.state, obs::RunState::kFinished);
   EXPECT_EQ(status.total, 64u);
   EXPECT_EQ(status.done, 64u);
   EXPECT_EQ(status.resumed, stopped.executed);
@@ -203,7 +203,7 @@ TEST_F(CampaignTelemetry, WatchdogDrillDetectsHungShard) {
   ASSERT_TRUE(result.finished);
 
   const obs::analysis::CampaignStatus status = status_of(config.dir);
-  EXPECT_EQ(status.state, "finished");
+  EXPECT_EQ(status.state, obs::RunState::kFinished);
   EXPECT_GE(status.stalled, 1u);
   const obs::analysis::TelemetryLog log =
       obs::analysis::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));

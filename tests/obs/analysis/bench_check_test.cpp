@@ -361,6 +361,33 @@ TEST_F(InspectCli, CheckBenchGatesMultiplePairs) {
   EXPECT_EQ(run({"check-bench", runs, runs, kernels}), 2);
 }
 
+// Numeric flags are read to their end: a trailing letter, a sign or an
+// out-of-range value is a usage error naming the flag and the token, never
+// a silently used prefix or a wrapped 2^64-1.
+TEST_F(InspectCli, NumericFlagsAreStrict) {
+  const std::string trace = write_temp("strict.jsonl", kBalancedTrace);
+  EXPECT_EQ(run({"ledger", trace, "--max-rows", "5x"}), 2);
+  EXPECT_EQ(run({"ledger", trace, "--max-rows", "-1"}), 2);
+  EXPECT_EQ(run({"ledger", trace, "--max-rows", "99999999999999999999"}), 2);
+  EXPECT_EQ(run({"timeline", trace, "--trace-id", "0xabcz"}), 2);
+  EXPECT_EQ(run({"timeline", trace, "--trace-id", "-7"}), 2);
+
+  const std::string status = write_temp(
+      "strict_status.json",
+      R"({"status": "solsched-status-v2", "kind": "serve",
+          "state": "running", "wall_ms": 5000000, "stale_after_ms": 5000})");
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run({"serve", status, "--now-ms", "5x"}), 2);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--now-ms"), std::string::npos) << err;
+  EXPECT_NE(err.find("\"5x\""), std::string::npos) << err;
+  EXPECT_EQ(run({"serve", status, "--now-ms", "-1"}), 2);
+  // The reader's age bound is gone: the daemon declares its own window.
+  EXPECT_EQ(run({"serve", status, "--max-age-ms", "1"}), 2);
+  EXPECT_EQ(run({"serve", status, "--now-ms", "5005000"}), 0);
+  EXPECT_EQ(run({"serve", status, "--now-ms", "5005001"}), 1);
+}
+
 TEST_F(InspectCli, UsageAndErrorExitCodes) {
   EXPECT_EQ(run({}), 2);
   EXPECT_EQ(run({"--help"}), 0);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -29,6 +30,11 @@ std::string fresh_dir(const char* name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// The bus's counters, read back the way every watcher reads them.
+analysis::CampaignStatus status_of(const TelemetryBus& bus) {
+  return analysis::parse_campaign_status(bus.status_json());
 }
 
 TelemetryBus::Options options_for(const std::string& dir,
@@ -66,8 +72,8 @@ TEST_F(TelemetryBusTest, PublishesLifecycleEventsAndCounters) {
     bus.shard_failed(2, "boom");
     bus.campaign_finish(false);
 
-    const TelemetryBus::Snapshot snap = bus.snapshot();
-    EXPECT_EQ(snap.state, "stopped");
+    const analysis::CampaignStatus snap = status_of(bus);
+    EXPECT_EQ(snap.state, RunState::kStopped);
     EXPECT_EQ(snap.total, 4u);
     EXPECT_EQ(snap.resumed, 1u);
     EXPECT_EQ(snap.executed, 1u);
@@ -99,11 +105,10 @@ TEST_F(TelemetryBusTest, StatusJsonTracksProgressAndState) {
   TelemetryBus bus(options_for(dir));
   bus.campaign_start(8, {{"ecg", 4}, {"wam", 4}}, {{"ecg", 2}});
   bus.shard_claimed(5, "wam", "d1d1d1d1d1d1d1d1");
-  bus.write_status();
 
-  analysis::CampaignStatus status =
-      analysis::parse_status(slurp(dir + "/status.json"));
-  EXPECT_EQ(status.state, "running");
+  analysis::CampaignStatus status = status_of(bus);
+  EXPECT_EQ(status.state, RunState::kRunning);
+  EXPECT_EQ(status.stale_after_ms, 0u);  // No watchdog: no rewrite promise.
   EXPECT_EQ(status.spec_digest, "00000000deadbeef");
   EXPECT_EQ(status.total, 8u);
   EXPECT_EQ(status.done, 2u);
@@ -118,8 +123,8 @@ TEST_F(TelemetryBusTest, StatusJsonTracksProgressAndState) {
 
   bus.shard_done(5, false);
   bus.campaign_finish(false);
-  status = analysis::parse_status(slurp(dir + "/status.json"));
-  EXPECT_EQ(status.state, "stopped");
+  status = analysis::parse_campaign_status(slurp(dir + "/status.json"));
+  EXPECT_EQ(status.state, RunState::kStopped);
   EXPECT_EQ(status.done, 3u);
   EXPECT_EQ(analysis::status_exit_code(status), 3);
 }
@@ -132,8 +137,8 @@ TEST_F(TelemetryBusTest, DestructionWithoutFinishRecordsFailed) {
     // No campaign_finish: the run unwound through an exception.
   }
   const analysis::CampaignStatus status =
-      analysis::parse_status(slurp(dir + "/status.json"));
-  EXPECT_EQ(status.state, "failed");
+      analysis::parse_campaign_status(slurp(dir + "/status.json"));
+  EXPECT_EQ(status.state, RunState::kFailed);
   EXPECT_EQ(analysis::status_exit_code(status), 1);
   const auto census =
       analysis::load_telemetry(slurp(dir + "/telemetry.jsonl")).census();
@@ -174,12 +179,12 @@ TEST_F(TelemetryBusTest, WatchdogFlagsStalledShard) {
   bus.shard_claimed(0, "ecg", "feedfacefeedface");
   bus.tick();  // Flags shard 0.
   bus.tick();  // Must not double-flag.
-  EXPECT_EQ(bus.snapshot().stalled, 1u);
-  EXPECT_EQ(bus.snapshot().heartbeats, 2u);
+  EXPECT_EQ(status_of(bus).stalled, 1u);
+  EXPECT_EQ(status_of(bus).heartbeats, 2u);
 
   bus.shard_done(0, false);
   bus.tick();  // Done shards are no longer in flight: still 1.
-  EXPECT_EQ(bus.snapshot().stalled, 1u);
+  EXPECT_EQ(status_of(bus).stalled, 1u);
   bus.campaign_finish(false);
 
   const analysis::TelemetryLog log =
@@ -199,7 +204,7 @@ TEST_F(TelemetryBusTest, WatchdogFlagsStalledShard) {
       1u);
 
   const analysis::CampaignStatus status =
-      analysis::parse_status(slurp(dir + "/status.json"));
+      analysis::parse_campaign_status(slurp(dir + "/status.json"));
   EXPECT_EQ(status.stalled, 1u);
 }
 
@@ -211,10 +216,35 @@ TEST_F(TelemetryBusTest, WatchdogThreadHeartbeats) {
   opt.stall_ms = 60000;
   TelemetryBus bus(opt);
   bus.campaign_start(1, {{"ecg", 1}}, {});
-  while (bus.snapshot().heartbeats < 3)
+  while (status_of(bus).heartbeats < 3)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   bus.campaign_finish(true);
-  EXPECT_GE(bus.snapshot().heartbeats, 3u);
+  EXPECT_GE(status_of(bus).heartbeats, 3u);
+}
+
+// Telemetry observes a campaign and must never end it: with the campaign
+// directory removed under a live bus, every heartbeat's status.json write
+// and the destructor's final one fail, are reported once on stderr, and the
+// process carries on. Run in a child so a std::terminate fails the check
+// instead of the suite.
+TEST_F(TelemetryBusTest, FailedWritesDoNotTerminateTheCampaign) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string dir = fresh_dir("telem_removed");
+  EXPECT_EXIT(
+      {
+        TelemetryBus::Options opt = options_for(dir, /*heartbeat_ms=*/5);
+        opt.stall_ms = 60000;
+        {
+          TelemetryBus bus(opt);
+          bus.campaign_start(1, {{"ecg", 1}}, {});
+          std::filesystem::remove_all(dir);
+          const std::uint64_t seen = status_of(bus).heartbeats;
+          while (status_of(bus).heartbeats < seen + 3)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }  // No campaign_finish: the destructor writes "failed", and fails.
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "still running");
 }
 
 TEST_F(TelemetryBusTest, EventJsonOmitsEmptyFields) {

@@ -418,19 +418,46 @@ TEST(ServeEndToEnd, ShutdownFrameUnblocksWaitAndStatusFileIsParseable) {
   server->stop();
   server.reset();
 
-  // The final snapshot is a parseable "stopped" status; tmp -> rename means
-  // it is never torn.
+  // The final snapshot is a parseable "finished" status; tmp -> rename
+  // means it is never torn.
   std::ifstream in(d.status, std::ios::binary);
   ASSERT_TRUE(in.good());
   std::ostringstream body;
   body << in.rdbuf();
   const auto status = obs::analysis::parse_serve_status(body.str());
-  EXPECT_EQ(status.state, "stopped");
+  EXPECT_EQ(status.state, obs::RunState::kFinished);
   EXPECT_EQ(status.controllers, 1u);
   EXPECT_GE(status.requests, 1u);
-  // A stopped snapshot never goes stale, no matter the clock.
-  EXPECT_FALSE(obs::analysis::serve_status_is_stale(
-      status, status.wall_ms + 3600 * 1000, 5000));
+  // A finished snapshot never goes stale, no matter the clock.
+  EXPECT_FALSE(
+      obs::analysis::is_stale(status, status.wall_ms + 3600 * 1000));
+  EXPECT_EQ(obs::analysis::status_exit_code(status), 0);
+}
+
+// The daemon declares its own staleness window, ten status intervals, so a
+// healthy daemon on a slow cadence is never called gone between rewrites.
+TEST(ServeStatusFile, SlowCadenceDaemonIsNotCalledGone) {
+  const TestDirs d = fresh_dirs("serve_slow_status", false);
+  Server::Options options = server_options(d);
+  options.status_interval_ms = 10000;
+  Server server(options);
+  const auto status = obs::analysis::parse_serve_status(
+      server.status_json(obs::RunState::kRunning));
+  EXPECT_EQ(status.stale_after_ms, 100000u);
+  EXPECT_FALSE(obs::analysis::is_stale(status, status.wall_ms + 6500));
+  EXPECT_FALSE(obs::analysis::is_stale(status, status.wall_ms + 100000));
+  EXPECT_TRUE(obs::analysis::is_stale(status, status.wall_ms + 100001));
+}
+
+// With no periodic rewrite the daemon promises nothing: a "running" file
+// written at start only never ages out.
+TEST(ServeStatusFile, NoStatusCadenceNeverGoesStale) {
+  const TestDirs d = fresh_dirs("serve_no_cadence", false);
+  Server server(server_options(d));  // status_interval_ms = 0.
+  const auto status = obs::analysis::parse_serve_status(
+      server.status_json(obs::RunState::kRunning));
+  EXPECT_EQ(status.stale_after_ms, 0u);
+  EXPECT_FALSE(obs::analysis::is_stale(status, status.wall_ms + 86400000));
 }
 
 }  // namespace

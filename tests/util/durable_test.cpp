@@ -192,13 +192,13 @@ TEST(DurableStates, ServeStatusTempDebrisLeavesTheOldSnapshot) {
   options.cache_dir = dir + "/cache";
   serve::Server server(options);
   const std::string path = dir + "/status.json";
-  util::atomic_replace(path, server.status_json("running"));
-  plant_temps(path, server.status_json("stopped"));
+  util::atomic_replace(path, server.status_json(obs::RunState::kRunning));
+  plant_temps(path, server.status_json(obs::RunState::kFinished));
   EXPECT_EQ(obs::analysis::parse_serve_status(read_file(path)).state,
-            "running");
-  util::atomic_replace(path, server.status_json("stopped"));
+            obs::RunState::kRunning);
+  util::atomic_replace(path, server.status_json(obs::RunState::kFinished));
   EXPECT_EQ(obs::analysis::parse_serve_status(read_file(path)).state,
-            "stopped");
+            obs::RunState::kFinished);
 }
 
 // ---- SIGKILL at varied delays --------------------------------------------
