@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks of the hot kernels: capacitor slot
-// update, PMU slot resolution, DBN forward pass, per-period optimizer
-// evaluation and Pareto sweep, WCMA prediction, and trace generation.
+// update, PMU slot resolution, one simulated day per online policy, DBN
+// forward pass, per-period optimizer evaluation and Pareto sweep, WCMA
+// prediction, and trace generation.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
 #include "sched/period_option_cache.hpp"
 #include "sched/period_optimizer.hpp"
+#include "sched/registry.hpp"
 #include "solar/predictor.hpp"
 
 using namespace solsched;
@@ -30,18 +32,73 @@ void BM_SuperCapChargeDischarge(benchmark::State& state) {
 BENCHMARK(BM_SuperCapChargeDischarge);
 
 void BM_PmuRunSlot(benchmark::State& state) {
-  storage::CapacitorBank bank({1.0, 10.0, 50.0, 100.0},
-                              storage::RegulatorModel::fitted_default(),
-                              storage::LeakageModel::fitted_default());
-  bank.selected().set_usable_energy_j(20.0);
+  storage::CapacitorBank fresh({1.0, 10.0, 50.0, 100.0},
+                               storage::RegulatorModel::fitted_default(),
+                               storage::LeakageModel::fitted_default());
+  fresh.selected().set_usable_energy_j(20.0);
+  storage::CapacitorBank bank = fresh;
   const storage::Pmu pmu;
+  // Restart from the fresh bank every simulated day: left alone, the
+  // unselected capacitors leak on for years of simulated time into
+  // subnormal voltages, and the loop then times subnormal arithmetic
+  // rather than the PMU (real runs restart each trace within days).
+  const std::size_t slots_per_day = bench::paper_grid().slots_per_day();
+  std::size_t slot = 0;
   double solar = 0.05;
   for (auto _ : state) {
+    if (++slot == slots_per_day) {
+      bank = fresh;
+      slot = 0;
+    }
     benchmark::DoNotOptimize(pmu.run_slot(solar, 0.04, bank, 30.0));
     solar = solar < 0.09 ? solar + 0.001 : 0.01;
   }
 }
 BENCHMARK(BM_PmuRunSlot);
+
+// One partly-cloudy paper-grid day of WAM through nvp::simulate per
+// iteration, reported as time per simulated slot: the slot loop (policy
+// decision, validation, PMU, deadline bookkeeping) of each online policy.
+// "proposed" runs a controller trained once on two WAM days, on its sized
+// bank; the others run the default four-capacitor node.
+void BM_SimulateDay(benchmark::State& state, const char* id) {
+  const auto graph = task::wam_benchmark();
+  const auto grid = bench::paper_grid();
+  const auto trace = bench::paper_generator().generate_day(
+      solar::DayKind::kPartlyCloudy, grid);
+  sched::SchedulerContext ctx;
+  nvp::NodeConfig node = bench::paper_node();
+  node.initial_usable_j = 10.0;
+  const std::string policy_id = id;
+  if (sched::Registry::global().at(policy_id).needs_controller) {
+    static const core::TrainedController controller =
+        bench::train_for(task::wam_benchmark(), 2);
+    ctx.model = &controller.model;
+    ctx.online = controller.online;
+    node = controller.node;
+  }
+  const auto policy = sched::make_scheduler(policy_id, ctx);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(nvp::simulate(graph, trace, *policy, node));
+  state.counters["ns_per_slot"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * grid.slots_per_day()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_SimulateDay, asap, "asap")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SimulateDay, edf, "edf")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SimulateDay, duty, "duty")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SimulateDay, inter, "inter")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SimulateDay, intra, "intra")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SimulateDay, proposed, "proposed")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SimulateDay, ccedf, "ccedf")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SimulateDay, laedf, "laedf")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SimulateDay, greedy, "greedy")
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_DbnForward(benchmark::State& state) {
   static const core::TrainedController controller =

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 gate: the full test suite on a normal build, the trace-analytics
+# Tier-1 gate: the full test suite on a normal build, the benchmark
+# runner's smoke test (perfbench/test_smoke.py), the trace-analytics
 # phase (golden-ledger suite + bench regression gate over the pipeline and
 # kernel baselines), the campaign kill/resume smoke, the live-telemetry
 # drill (stop under SOLSCHED_OBS, torn-tail heal, resume, watch exit
@@ -44,6 +45,15 @@ echo "== tier 1: full suite ($BUILD_DIR) =="
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+echo "== tier 1: benchmark runner smoke (.bench_build) =="
+# perfbench/run.py builds its own tree (.bench_build/) from these sources,
+# so this is the one step that compiles the benchmark's policy wrappers
+# against the current nvp::Scheduler interface (they still override the
+# list-form schedule_slot). The smoke test then runs every workload at
+# tiny scale, checks each emits exactly the metrics BENCHMARK.json lists,
+# and proves each output check fires on a tampered input.
+python3 perfbench/test_smoke.py
 
 echo "== tier 1: trace analytics ($BUILD_DIR) =="
 # The golden-ledger suite standalone (energy conservation, DMR attribution,

@@ -49,8 +49,8 @@ class SampleRecorder final : public nvp::Scheduler {
     return plan;
   }
 
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override {
-    return oracle_->schedule_slot(ctx);
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override {
+    return oracle_->decide_slot(ctx);
   }
 
   std::vector<ann::Sample> take_samples() { return std::move(samples_); }

@@ -133,8 +133,9 @@ std::vector<DvfsAction> DvfsLoadMatcher::schedule_slot(
   const double max_load_w =
       ctx.pmu->supplyable_j(ctx.solar_w, *ctx.bank, dt) / dt;
 
-  const auto by_nvp =
-      sched::candidates_by_nvp(graph, state, ctx.now_in_period_s, {});
+  const sched::NvpHeads by_nvp(
+      graph, state,
+      state.live_ready_mask(ctx.now_in_period_s));
 
   // Per NVP: the EDF head plus its feasible frequency options.
   struct Head {
@@ -143,9 +144,7 @@ std::vector<DvfsAction> DvfsLoadMatcher::schedule_slot(
     bool forced;            ///< Must run at >= min_required_f this slot.
   };
   std::vector<Head> heads;
-  for (const auto& list : by_nvp) {
-    if (list.empty()) continue;
-    const std::size_t id = list.front();
+  for (std::size_t id : by_nvp) {
     const auto& t = graph.task(id);
     const double time_left = t.deadline_s - ctx.now_in_period_s;
     const double remaining = state.remaining_s(id);

@@ -21,11 +21,10 @@ PeriodPlan RecordingScheduler::begin_period(const PeriodContext& ctx) {
   return plan;
 }
 
-std::vector<std::size_t> RecordingScheduler::schedule_slot(
-    const SlotContext& ctx) {
-  std::vector<std::size_t> chosen = inner_->schedule_slot(ctx);
-  slots_.push_back(SlotRecord{chosen});
-  return chosen;
+SlotAction RecordingScheduler::decide_slot(const SlotContext& ctx) {
+  const SlotAction action = inner_->decide_slot(ctx);
+  slots_.push_back(SlotRecord{{action.begin(), action.end()}});
+  return action;
 }
 
 std::string render_gantt(const task::TaskGraph& graph,

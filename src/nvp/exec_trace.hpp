@@ -29,7 +29,7 @@ class RecordingScheduler final : public Scheduler {
   void begin_trace(const task::TaskGraph& graph, const NodeConfig& config,
                    const solar::SolarTrace& trace) override;
   PeriodPlan begin_period(const PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const SlotContext& ctx) override;
+  SlotAction decide_slot(const SlotContext& ctx) override;
 
   /// One entry per simulated slot, in order.
   const std::vector<SlotRecord>& slots() const noexcept { return slots_; }

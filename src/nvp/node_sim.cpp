@@ -1,5 +1,7 @@
 #include "nvp/node_sim.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -107,28 +109,23 @@ void emit_period_events(obs::SimTrace& events, const PeriodRecord& record,
 }
 
 /// Validates one slot decision against Eq. 7-9 and the period's te set.
-void validate_decision(const std::vector<std::size_t>& chosen,
-                       const task::TaskGraph& graph,
+/// Unknown and repeated ids were already refused by SlotAction::add.
+void validate_decision(const SlotAction& action, const task::TaskGraph& graph,
                        const task::PeriodState& state,
-                       const std::vector<bool>& enabled) {
-  std::vector<bool> nvp_busy(graph.nvp_count(), false);
-  std::vector<bool> seen(graph.size(), false);
-  for (std::size_t id : chosen) {
-    if (id >= graph.size())
-      throw std::logic_error("scheduler chose an unknown task id");
-    if (seen[id]) throw std::logic_error("scheduler chose a task twice");
-    seen[id] = true;
-    if (!enabled.empty() && !enabled[id])
-      throw std::logic_error("scheduler chose a task outside its te set");
-    if (state.completed(id))
-      throw std::logic_error("scheduler chose a completed task");
-    if (!state.ready(id))
+                       std::uint64_t enabled_mask) {
+  const std::uint64_t chosen = action.mask();
+  if (chosen & ~enabled_mask)
+    throw std::logic_error("scheduler chose a task outside its te set");
+  const std::uint64_t done = state.completed_mask();
+  if (chosen & done) throw std::logic_error("scheduler chose a completed task");
+  for (std::uint64_t rest = chosen; rest != 0; rest &= rest - 1) {
+    const auto id = static_cast<std::size_t>(std::countr_zero(rest));
+    const std::uint64_t preds = graph.pred_mask(id);
+    if ((done & preds) != preds)
       throw std::logic_error(
           "scheduler chose a task with incomplete dependencies");
-    const std::size_t nvp = graph.task(id).nvp;
-    if (nvp_busy[nvp])
+    if (chosen & graph.nvp_mask(graph.task(id).nvp) & ~(std::uint64_t{1} << id))
       throw std::logic_error("scheduler put two tasks on one NVP");
-    nvp_busy[nvp] = true;
   }
 }
 
@@ -139,6 +136,10 @@ SimResult simulate(const task::TaskGraph& graph,
                    const NodeConfig& config, solar::SolarPredictor& predictor,
                    obs::SimTrace* events, const fault::FaultInjector* faults) {
   config.validate();
+  if (!graph.mask_capable())
+    throw std::invalid_argument("simulate: task graph has " +
+                                std::to_string(graph.size()) +
+                                " tasks; the slot loop supports at most 64");
   const solar::TimeGrid& grid = trace.grid();
   // An attached-but-inactive plan must behave exactly like no plan at all,
   // so normalise it away up front: every fault branch below tests `fx`.
@@ -204,6 +205,7 @@ SimResult simulate(const task::TaskGraph& graph,
       if (!plan.tasks_enabled.empty() &&
           plan.tasks_enabled.size() != graph.size())
         throw std::logic_error("period plan te vector has wrong size");
+      const std::uint64_t enabled_mask = task::te_mask(plan.tasks_enabled);
 
       PeriodRecord record;
       record.day = day;
@@ -308,17 +310,15 @@ SimResult simulate(const task::TaskGraph& graph,
         sctx.bank = &bank;
         sctx.pmu = &pmu;
         sctx.predictor = &predictor;
+        sctx.deliverable_j = bank.selected().deliverable_j();
 
-        const std::vector<std::size_t> chosen = policy.schedule_slot(sctx);
-        validate_decision(chosen, graph, state, plan.tasks_enabled);
+        const SlotAction action = policy.decide_slot(sctx);
+        validate_decision(action, graph, state, enabled_mask);
 
-        double load_w = 0.0;
-        for (std::size_t id : chosen) load_w += graph.task(id).power_w;
-
-        const storage::SlotFlow flow =
-            pmu.run_slot(solar_w, load_w, bank, grid.dt_s);
+        const storage::SlotFlow flow = pmu.run_slot(
+            solar_w, action.load_w(), sctx.deliverable_j, bank, grid.dt_s);
         if (!flow.brownout)
-          for (std::size_t id : chosen) state.execute(id, grid.dt_s);
+          for (std::size_t id : action) state.execute(id, grid.dt_s);
         else
           ++record.brownout_slots;
 

@@ -3,14 +3,17 @@
 // A policy is consulted twice per time scale:
 //   * begin_period(): coarse-grained — may switch the selected capacitor and
 //     restrict the task subset attempted this period (the paper's te vector);
-//   * schedule_slot(): fine-grained — picks the tasks to execute in the
-//     coming slot (at most one per NVP, only ready tasks).
+//   * decide_slot(): fine-grained — picks the tasks to execute in the
+//     coming slot (at most one per NVP, only ready tasks) as a SlotAction.
 // The simulator validates every decision and throws on constraint
 // violations, so a policy bug cannot silently corrupt an experiment.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,6 +54,47 @@ struct PeriodPlan {
   int fallback_code = 0;
 };
 
+/// One slot's decision: the chosen tasks as a bit set, the same ids in
+/// decision order, and their summed power. A value type with no heap
+/// storage, so building one per slot costs no allocation.
+///
+/// `load_w()` accumulates in `add()` call order: floating-point addition
+/// is not associative, so the load of a task set depends on the order its
+/// powers are added, and a policy fixes that order by deciding (DESIGN.md
+/// §5) — an id-order sum would round differently. Policies read `load_w()`
+/// as their committed load while deciding.
+class SlotAction {
+ public:
+  /// Appends task `id`. Throws std::logic_error for an id outside `graph`
+  /// (or beyond the 64-task bound) and for an id already chosen.
+  void add(const task::TaskGraph& graph, std::size_t id) {
+    if (id >= graph.size() || id >= 64)
+      throw std::logic_error("scheduler chose an unknown task id");
+    const std::uint64_t bit = std::uint64_t{1} << id;
+    if (mask_ & bit) throw std::logic_error("scheduler chose a task twice");
+    mask_ |= bit;
+    ids_[count_++] = static_cast<std::uint8_t>(id);
+    load_w_ += graph.task(id).power_w;
+  }
+
+  std::uint64_t mask() const noexcept { return mask_; }
+  bool contains(std::size_t id) const noexcept {
+    return id < 64 && ((mask_ >> id) & 1u);
+  }
+  bool empty() const noexcept { return count_ == 0; }
+  double load_w() const noexcept { return load_w_; }
+
+  /// The chosen ids in decision order.
+  const std::uint8_t* begin() const noexcept { return ids_.data(); }
+  const std::uint8_t* end() const noexcept { return ids_.data() + count_; }
+
+ private:
+  std::uint64_t mask_ = 0;
+  double load_w_ = 0.0;
+  std::array<std::uint8_t, 64> ids_{};
+  std::uint8_t count_ = 0;
+};
+
 /// Read-only view handed to a policy before each slot.
 struct SlotContext {
   std::size_t day = 0;
@@ -64,6 +108,15 @@ struct SlotContext {
   const storage::CapacitorBank* bank = nullptr;
   const storage::Pmu* pmu = nullptr;
   solar::SolarPredictor* predictor = nullptr;
+  /// Energy the selected capacitor can deliver this slot (J), computed once
+  /// per slot; the simulator hands the same value to Pmu::run_slot.
+  double deliverable_j = 0.0;
+
+  /// The PMU's supplyable load this slot (W): Pmu::supplyable_j over
+  /// `solar_w` and `deliverable_j`, per second of the slot.
+  double supplyable_w() const {
+    return pmu->supplyable_j(solar_w, deliverable_j, grid->dt_s) / grid->dt_s;
+  }
 };
 
 /// A scheduling policy.
@@ -84,8 +137,21 @@ class Scheduler {
   /// Coarse-grained per-period decision.
   virtual PeriodPlan begin_period(const PeriodContext& ctx) = 0;
 
-  /// Fine-grained per-slot decision: ids of tasks to execute next slot.
-  virtual std::vector<std::size_t> schedule_slot(const SlotContext& ctx) = 0;
+  /// Fine-grained per-slot decision: the tasks to execute next slot. This
+  /// is what nvp::simulate calls. The default adds schedule_slot()'s list
+  /// in order.
+  virtual SlotAction decide_slot(const SlotContext& ctx);
+
+  /// List form of decide_slot(), kept for wrappers written against it. The
+  /// default expands decide_slot()'s action in decision order. A class
+  /// must override one of the two; calling either on a class that
+  /// overrides neither throws std::logic_error.
+  virtual std::vector<std::size_t> schedule_slot(const SlotContext& ctx);
+
+ private:
+  /// Set while a default adapter runs, so one that finds the other default
+  /// below it throws instead of recursing.
+  bool in_adapter_ = false;
 };
 
 }  // namespace solsched::nvp

@@ -20,7 +20,7 @@ class AsapScheduler final : public nvp::Scheduler {
 
   std::string name() const override { return "ASAP"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
  private:
   bool only_live_;

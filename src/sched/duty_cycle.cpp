@@ -12,7 +12,7 @@ void DutyCycleScheduler::begin_trace(const task::TaskGraph&,
   harvest_estimate_j_ = 0.0;
   harvest_seen_ = false;
   budget_j_ = 0.0;
-  enabled_.clear();
+  enabled_mask_ = task::kEveryTask;
 }
 
 nvp::PeriodPlan DutyCycleScheduler::begin_period(
@@ -43,56 +43,21 @@ nvp::PeriodPlan DutyCycleScheduler::begin_period(
     return graph.task(a).deadline_s < graph.task(b).deadline_s;
   });
 
-  enabled_.assign(graph.size(), false);
-  double committed_j = 0.0;
-  for (std::size_t id : order) {
-    // Cost of this task plus any not-yet-enabled dependencies; `visited`
-    // keeps shared predecessors from being counted twice.
-    double extra = 0.0;
-    std::vector<bool> visited(graph.size(), false);
-    std::vector<std::size_t> closure{id};
-    visited[id] = true;
-    for (std::size_t i = 0; i < closure.size(); ++i) {
-      const std::size_t t = closure[i];
-      if (enabled_[t]) continue;
-      extra += graph.task(t).energy_j();
-      for (std::size_t p : graph.predecessors(t)) {
-        if (!enabled_[p] && !visited[p]) {
-          visited[p] = true;
-          closure.push_back(p);
-        }
-      }
-    }
-    if (committed_j + extra <= budget_j_) {
-      for (std::size_t t : closure) enabled_[t] = true;
-      committed_j += extra;
-    }
-  }
-
   nvp::PeriodPlan plan;
-  plan.tasks_enabled = enabled_;
+  plan.tasks_enabled = admit_in_order(graph, order, budget_j_);
+  enabled_mask_ = task::te_mask(plan.tasks_enabled);
   return plan;
 }
 
-std::vector<std::size_t> DutyCycleScheduler::schedule_slot(
-    const nvp::SlotContext& ctx) {
+nvp::SlotAction DutyCycleScheduler::decide_slot(const nvp::SlotContext& ctx) {
   // EDF over the enabled subset, shedding to the supplyable load.
-  const double max_load_w =
-      ctx.pmu->supplyable_j(ctx.solar_w, *ctx.bank, ctx.grid->dt_s) /
-      ctx.grid->dt_s;
-  const auto by_nvp = candidates_by_nvp(*ctx.graph, *ctx.state,
-                                        ctx.now_in_period_s, enabled_);
-  std::vector<std::size_t> chosen;
-  double committed_w = 0.0;
-  for (const auto& list : by_nvp) {
-    if (list.empty()) continue;
-    const std::size_t head = list.front();
-    if (committed_w + ctx.graph->task(head).power_w <= max_load_w) {
-      chosen.push_back(head);
-      committed_w += ctx.graph->task(head).power_w;
-    }
-  }
-  return chosen;
+  const auto& graph = *ctx.graph;
+  const double max_load_w = ctx.supplyable_w();
+  nvp::SlotAction action;
+  for (std::size_t head : NvpHeads(ctx, enabled_mask_))
+    if (action.load_w() + graph.task(head).power_w <= max_load_w)
+      action.add(graph, head);
+  return action;
 }
 
 }  // namespace solsched::sched

@@ -31,7 +31,7 @@ class DutyCycleScheduler final : public nvp::Scheduler {
   void begin_trace(const task::TaskGraph& graph, const nvp::NodeConfig& node,
                    const solar::SolarTrace& trace) override;
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
   /// The budget computed for the current period (J), for inspection.
   double current_budget_j() const noexcept { return budget_j_; }
@@ -41,7 +41,7 @@ class DutyCycleScheduler final : public nvp::Scheduler {
   double harvest_estimate_j_ = 0.0;
   bool harvest_seen_ = false;
   double budget_j_ = 0.0;
-  std::vector<bool> enabled_;
+  std::uint64_t enabled_mask_ = task::kEveryTask;  ///< Admitted te.
 };
 
 }  // namespace solsched::sched

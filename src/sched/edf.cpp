@@ -8,14 +8,11 @@ nvp::PeriodPlan EdfScheduler::begin_period(const nvp::PeriodContext&) {
   return {};
 }
 
-std::vector<std::size_t> EdfScheduler::schedule_slot(
-    const nvp::SlotContext& ctx) {
-  const auto by_nvp =
-      candidates_by_nvp(*ctx.graph, *ctx.state, ctx.now_in_period_s, {});
-  std::vector<std::size_t> chosen;
-  for (const auto& list : by_nvp)
-    if (!list.empty()) chosen.push_back(list.front());
-  return chosen;
+nvp::SlotAction EdfScheduler::decide_slot(const nvp::SlotContext& ctx) {
+  nvp::SlotAction action;
+  for (std::size_t id : NvpHeads(ctx, task::kEveryTask))
+    action.add(*ctx.graph, id);
+  return action;
 }
 
 }  // namespace solsched::sched

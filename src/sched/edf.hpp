@@ -14,7 +14,7 @@ class EdfScheduler final : public nvp::Scheduler {
  public:
   std::string name() const override { return "EDF"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 };
 
 }  // namespace solsched::sched

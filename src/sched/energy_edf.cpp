@@ -1,6 +1,7 @@
 #include "sched/energy_edf.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "sched/sched_util.hpp"
@@ -8,32 +9,19 @@
 namespace solsched::sched {
 namespace {
 
-/// Per-NVP EDF head candidates flattened into one cross-NVP EDF order
-/// (earliest deadline first, ties: less remaining work, then id — the same
-/// tie-breaks candidates_by_nvp applies within an NVP).
-std::vector<std::size_t> edf_heads(const task::TaskGraph& graph,
-                                   const task::PeriodState& state,
-                                   double now_s,
-                                   const std::vector<bool>& enabled) {
-  const auto by_nvp = candidates_by_nvp(graph, state, now_s, enabled);
-  std::vector<std::size_t> heads;
-  for (const auto& list : by_nvp)
-    if (!list.empty()) heads.push_back(list.front());
-  std::sort(heads.begin(), heads.end(), [&](std::size_t a, std::size_t b) {
-    const auto& ta = graph.task(a);
-    const auto& tb = graph.task(b);
-    if (ta.deadline_s != tb.deadline_s) return ta.deadline_s < tb.deadline_s;
-    if (state.remaining_s(a) != state.remaining_s(b))
-      return state.remaining_s(a) < state.remaining_s(b);
-    return a < b;
-  });
+/// Per-NVP EDF heads of the live tasks in `enabled`, flattened into one
+/// cross-NVP EDF order (the same order NvpHeads applies within an NVP).
+NvpHeads edf_heads(const nvp::SlotContext& ctx, std::uint64_t enabled) {
+  NvpHeads heads(ctx, enabled);
+  heads.sort_edf(*ctx.graph, *ctx.state);
   return heads;
 }
 
-/// The PMU's supplyable load this slot (W).
-double supplyable_w(const nvp::SlotContext& ctx) {
-  return ctx.pmu->supplyable_j(ctx.solar_w, *ctx.bank, ctx.grid->dt_s) /
-         ctx.grid->dt_s;
+/// Tasks neither completed nor missed, ascending id order when walked.
+std::uint64_t open_tasks(const task::TaskGraph& graph,
+                         const task::PeriodState& state) {
+  return graph.all_tasks_mask() &
+         ~(state.completed_mask() | state.missed_mask());
 }
 
 }  // namespace
@@ -44,38 +32,34 @@ nvp::PeriodPlan CcEdfScheduler::begin_period(const nvp::PeriodContext&) {
   return {};  // All tasks, keep the capacitor: CC-EDF acts per slot.
 }
 
-std::vector<std::size_t> CcEdfScheduler::schedule_slot(
-    const nvp::SlotContext& ctx) {
+nvp::SlotAction CcEdfScheduler::decide_slot(const nvp::SlotContext& ctx) {
   const auto& graph = *ctx.graph;
   const auto& state = *ctx.state;
   const double dt = ctx.grid->dt_s;
-  const double max_load_w = supplyable_w(ctx);
+  const double max_load_w = ctx.supplyable_w();
 
   // Cycle-conserving requirement: the average power the *remaining* live
   // work needs to meet its deadlines from now. Completed or missed tasks
   // contribute nothing, so the requirement decays through the period.
   double required_w = 0.0;
-  for (std::size_t id = 0; id < graph.size(); ++id) {
-    if (state.completed(id) || state.missed(id)) continue;
+  for (std::uint64_t rest = open_tasks(graph, state); rest != 0;
+       rest &= rest - 1) {
+    const auto id = static_cast<std::size_t>(std::countr_zero(rest));
     const double slack_s = graph.task(id).deadline_s - ctx.now_in_period_s;
     if (slack_s <= 0.0) continue;
     required_w += state.remaining_s(id) * graph.task(id).power_w /
                   std::max(slack_s, dt);
   }
 
-  std::vector<std::size_t> chosen;
-  double committed_w = 0.0;
-  for (std::size_t head : edf_heads(graph, state, ctx.now_in_period_s, {})) {
+  nvp::SlotAction action;
+  for (std::size_t head : edf_heads(ctx, task::kEveryTask)) {
     const double p = graph.task(head).power_w;
-    if (committed_w + p > max_load_w) continue;  // Would brown the node out.
+    if (action.load_w() + p > max_load_w) continue;  // Would brown out.
     const bool forced =
         is_forced(graph, state, head, ctx.now_in_period_s, dt);
-    if (forced || committed_w + p <= required_w) {
-      chosen.push_back(head);
-      committed_w += p;
-    }
+    if (forced || action.load_w() + p <= required_w) action.add(graph, head);
   }
-  return chosen;
+  return action;
 }
 
 // ---- LA-EDF ---------------------------------------------------------------
@@ -84,20 +68,20 @@ nvp::PeriodPlan LaEdfScheduler::begin_period(const nvp::PeriodContext&) {
   return {};  // All tasks; the look-ahead happens per slot.
 }
 
-std::vector<std::size_t> LaEdfScheduler::schedule_slot(
-    const nvp::SlotContext& ctx) {
+nvp::SlotAction LaEdfScheduler::decide_slot(const nvp::SlotContext& ctx) {
   const auto& graph = *ctx.graph;
   const auto& state = *ctx.state;
   const double dt = ctx.grid->dt_s;
-  const double max_load_w = supplyable_w(ctx);
+  const double max_load_w = ctx.supplyable_w();
 
   // Aggregate look-ahead: remaining energy demand of the live task set vs
   // what is in hand (deliverable storage) plus the forecast harvest up to
   // the latest live deadline.
   double demand_j = 0.0;
   double latest_deadline_s = ctx.now_in_period_s;
-  for (std::size_t id = 0; id < graph.size(); ++id) {
-    if (state.completed(id) || state.missed(id)) continue;
+  for (std::uint64_t rest = open_tasks(graph, state); rest != 0;
+       rest &= rest - 1) {
+    const auto id = static_cast<std::size_t>(std::countr_zero(rest));
     if (graph.task(id).deadline_s <= ctx.now_in_period_s) continue;
     demand_j += state.remaining_s(id) * graph.task(id).power_w;
     latest_deadline_s = std::max(latest_deadline_s, graph.task(id).deadline_s);
@@ -108,22 +92,18 @@ std::vector<std::size_t> LaEdfScheduler::schedule_slot(
       ctx.predictor
           ? config_.direct_eta * ctx.predictor->predict_energy_j(horizon_slots, dt)
           : 0.0;
-  const double available_j =
-      ctx.bank->selected().deliverable_j() + forecast_j;
+  const double available_j = ctx.deliverable_j + forecast_j;
   const bool can_defer = available_j >= demand_j * (1.0 + config_.reserve);
 
-  std::vector<std::size_t> chosen;
-  double committed_w = 0.0;
-  for (std::size_t head : edf_heads(graph, state, ctx.now_in_period_s, {})) {
-    const double p = graph.task(head).power_w;
-    if (committed_w + p > max_load_w) continue;
+  nvp::SlotAction action;
+  for (std::size_t head : edf_heads(ctx, task::kEveryTask)) {
+    if (action.load_w() + graph.task(head).power_w > max_load_w) continue;
     if (can_defer &&
         !is_forced(graph, state, head, ctx.now_in_period_s, dt))
       continue;  // Energy covers the plan: procrastinate, bank the harvest.
-    chosen.push_back(head);
-    committed_w += p;
+    action.add(graph, head);
   }
-  return chosen;
+  return action;
 }
 
 // ---- Greedy energy feasibility --------------------------------------------
@@ -151,49 +131,23 @@ nvp::PeriodPlan GreedyFeasibleScheduler::begin_period(
     return a < b;
   });
 
-  enabled_.assign(graph.size(), false);
-  double committed_j = 0.0;
-  for (std::size_t id : order) {
-    double extra = 0.0;
-    std::vector<bool> visited(graph.size(), false);
-    std::vector<std::size_t> closure{id};
-    visited[id] = true;
-    for (std::size_t i = 0; i < closure.size(); ++i) {
-      const std::size_t t = closure[i];
-      if (enabled_[t]) continue;
-      extra += graph.task(t).energy_j();
-      for (std::size_t p : graph.predecessors(t)) {
-        if (!enabled_[p] && !visited[p]) {
-          visited[p] = true;
-          closure.push_back(p);
-        }
-      }
-    }
-    if (committed_j + extra <= budget_j_) {
-      for (std::size_t t : closure) enabled_[t] = true;
-      committed_j += extra;
-    }
-  }
-
   nvp::PeriodPlan plan;
-  plan.tasks_enabled = enabled_;
+  plan.tasks_enabled = admit_in_order(graph, order, budget_j_);
+  enabled_mask_ = task::te_mask(plan.tasks_enabled);
   return plan;
 }
 
-std::vector<std::size_t> GreedyFeasibleScheduler::schedule_slot(
+nvp::SlotAction GreedyFeasibleScheduler::decide_slot(
     const nvp::SlotContext& ctx) {
   // EDF over the admitted subset, shed to the supplyable load.
-  const double max_load_w = supplyable_w(ctx);
-  std::vector<std::size_t> chosen;
-  double committed_w = 0.0;
-  for (std::size_t head :
-       edf_heads(*ctx.graph, *ctx.state, ctx.now_in_period_s, enabled_)) {
-    const double p = ctx.graph->task(head).power_w;
-    if (committed_w + p > max_load_w) continue;
-    chosen.push_back(head);
-    committed_w += p;
+  const auto& graph = *ctx.graph;
+  const double max_load_w = ctx.supplyable_w();
+  nvp::SlotAction action;
+  for (std::size_t head : edf_heads(ctx, enabled_mask_)) {
+    if (action.load_w() + graph.task(head).power_w > max_load_w) continue;
+    action.add(graph, head);
   }
-  return chosen;
+  return action;
 }
 
 }  // namespace solsched::sched

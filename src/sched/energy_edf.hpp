@@ -40,7 +40,7 @@ class CcEdfScheduler final : public nvp::Scheduler {
 
   std::string name() const override { return "ccedf"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
  private:
   EnergyEdfConfig config_;
@@ -56,7 +56,7 @@ class LaEdfScheduler final : public nvp::Scheduler {
 
   std::string name() const override { return "laedf"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
  private:
   EnergyEdfConfig config_;
@@ -74,7 +74,7 @@ class GreedyFeasibleScheduler final : public nvp::Scheduler {
 
   std::string name() const override { return "greedy"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
   /// The admission budget computed for the current period (J).
   double current_budget_j() const noexcept { return budget_j_; }
@@ -82,7 +82,7 @@ class GreedyFeasibleScheduler final : public nvp::Scheduler {
  private:
   EnergyEdfConfig config_;
   double budget_j_ = 0.0;
-  std::vector<bool> enabled_;
+  std::uint64_t enabled_mask_ = task::kEveryTask;  ///< Admitted te.
 };
 
 }  // namespace solsched::sched

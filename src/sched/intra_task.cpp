@@ -8,21 +8,18 @@ nvp::PeriodPlan IntraTaskScheduler::begin_period(const nvp::PeriodContext&) {
   return {};
 }
 
-std::vector<std::size_t> IntraTaskScheduler::match_load(
-    const nvp::SlotContext& ctx, const std::vector<bool>& enabled,
-    double target_w) {
-  const double max_load_w =
-      ctx.pmu->supplyable_j(ctx.solar_w, *ctx.bank, ctx.grid->dt_s) /
-      ctx.grid->dt_s;
+nvp::SlotAction IntraTaskScheduler::match_load(const nvp::SlotContext& ctx,
+                                               std::uint64_t enabled,
+                                               double target_w) {
   return load_match_decision(*ctx.graph, *ctx.state, ctx.now_in_period_s,
-                             ctx.grid->dt_s, enabled, target_w, {},
-                             max_load_w);
+                             ctx.grid->dt_s, enabled, target_w, 0,
+                             ctx.supplyable_w());
 }
 
-std::vector<std::size_t> IntraTaskScheduler::schedule_slot(
-    const nvp::SlotContext& ctx) {
+nvp::SlotAction IntraTaskScheduler::decide_slot(const nvp::SlotContext& ctx) {
   // Match against the usable solar power through the direct channel.
-  return match_load(ctx, {}, ctx.solar_w * ctx.pmu->config().direct_eta);
+  return match_load(ctx, task::kEveryTask,
+                    ctx.solar_w * ctx.pmu->config().direct_eta);
 }
 
 }  // namespace solsched::sched

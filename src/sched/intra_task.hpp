@@ -16,14 +16,14 @@ class IntraTaskScheduler final : public nvp::Scheduler {
  public:
   std::string name() const override { return "Intra-task"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
   /// Load-matching core, shared with the proposed scheduler's intra mode:
   /// chooses among each NVP's head candidate to minimize |target_w - load|,
   /// always including forced tasks. Exposed for reuse and testing.
-  static std::vector<std::size_t> match_load(
-      const nvp::SlotContext& ctx, const std::vector<bool>& enabled,
-      double target_w);
+  /// `enabled` is a task mask.
+  static nvp::SlotAction match_load(const nvp::SlotContext& ctx,
+                                    std::uint64_t enabled, double target_w);
 };
 
 }  // namespace solsched::sched

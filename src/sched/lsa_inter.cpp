@@ -10,45 +10,31 @@ nvp::PeriodPlan LsaInterScheduler::begin_period(const nvp::PeriodContext&) {
   return {};
 }
 
-std::vector<std::size_t> lsa_slot_decision(const nvp::SlotContext& ctx,
-                                           const std::vector<bool>& enabled,
-                                           double margin_slots) {
+nvp::SlotAction lsa_slot_decision(const nvp::SlotContext& ctx,
+                                  std::uint64_t enabled, double margin_slots) {
   const auto& graph = *ctx.graph;
   const auto& state = *ctx.state;
   const double dt = ctx.grid->dt_s;
 
-  const auto by_nvp =
-      candidates_by_nvp(graph, state, ctx.now_in_period_s, enabled);
-
-  std::vector<std::size_t> chosen;
-  double committed_w = 0.0;
-  const double max_load_w =
-      ctx.pmu->supplyable_j(ctx.solar_w, *ctx.bank, dt) / dt;
+  const NvpHeads heads(ctx, enabled);
+  nvp::SlotAction action;
+  const double max_load_w = ctx.supplyable_w();
 
   // Pass 1: forced starts (deadline pressure within the safety margin).
-  for (const auto& list : by_nvp) {
-    if (list.empty()) continue;
-    const std::size_t head = list.front();
+  for (std::size_t head : heads)
     if (latest_start_s(graph, state, head) <
             ctx.now_in_period_s + (1.0 + margin_slots) * dt &&
-        committed_w + graph.task(head).power_w <= max_load_w) {
-      chosen.push_back(head);
-      committed_w += graph.task(head).power_w;
-    }
-  }
+        action.load_w() + graph.task(head).power_w <= max_load_w)
+      action.add(graph, head);
 
   // Pass 2: opportunistic starts.
   const double direct_budget_w = ctx.solar_w * ctx.pmu->config().direct_eta;
-  for (const auto& list : by_nvp) {
-    if (list.empty()) continue;
-    const std::size_t head = list.front();
-    bool already = false;
-    for (std::size_t id : chosen) already = already || id == head;
-    if (already) continue;
+  for (std::size_t head : heads) {
+    if (action.contains(head)) continue;
     const auto& t = graph.task(head);
 
     // (b) Free solar: present surplus covers the task's power.
-    const bool solar_covers = committed_w + t.power_w <= direct_budget_w;
+    const bool solar_covers = action.load_w() + t.power_w <= direct_budget_w;
 
     // (c) WCMA says laziness won't pay: predicted harvest between now and
     // the deadline is below the remaining energy need, so waiting only adds
@@ -65,17 +51,15 @@ std::vector<std::size_t> lsa_slot_decision(const nvp::SlotContext& ctx,
     }
 
     if ((solar_covers || forecast_starved) &&
-        committed_w + t.power_w <= max_load_w) {
-      chosen.push_back(head);
-      committed_w += t.power_w;
-    }
+        action.load_w() + t.power_w <= max_load_w)
+      action.add(graph, head);
   }
-  return chosen;
+  return action;
 }
 
-std::vector<std::size_t> LsaInterScheduler::schedule_slot(
-    const nvp::SlotContext& ctx) {
-  return lsa_slot_decision(ctx, {}, config_.margin_slots);
+nvp::SlotAction LsaInterScheduler::decide_slot(const nvp::SlotContext& ctx) {
+  return lsa_slot_decision(ctx, task::kEveryTask,
+                           config_.margin_slots);
 }
 
 }  // namespace solsched::sched

@@ -21,9 +21,8 @@ struct LsaConfig {
 /// Core LSA slot decision, reusable by the proposed scheduler's inter-task
 /// mode: forced starts + free-solar starts + forecast-starved starts, over
 /// tasks allowed by `enabled` (empty = all).
-std::vector<std::size_t> lsa_slot_decision(const nvp::SlotContext& ctx,
-                                           const std::vector<bool>& enabled,
-                                           double margin_slots);
+nvp::SlotAction lsa_slot_decision(const nvp::SlotContext& ctx,
+                                  std::uint64_t enabled, double margin_slots);
 
 /// WCMA-driven lazy (as-late-as-viable) inter-task scheduler.
 class LsaInterScheduler final : public nvp::Scheduler {
@@ -32,7 +31,7 @@ class LsaInterScheduler final : public nvp::Scheduler {
 
   std::string name() const override { return "Inter-task"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
  private:
   LsaConfig config_;

@@ -41,9 +41,9 @@ nvp::PeriodPlan LutScheduler::begin_period(const nvp::PeriodContext& ctx) {
   }
   if (!best) return {};
 
-  active_te_.assign(n_tasks_, true);
-  if (best->te.size() == n_tasks_) active_te_ = best->te;
-  if (config_.ignore_te) active_te_.assign(n_tasks_, true);
+  te_mask_ = best->te.size() == n_tasks_ && !config_.ignore_te
+                 ? task::te_mask(best->te)
+                 : task::kEveryTask;
 
   nvp::PeriodPlan plan;
   const std::size_t current = ctx.bank->selected_index();
@@ -61,12 +61,11 @@ nvp::PeriodPlan LutScheduler::begin_period(const nvp::PeriodContext& ctx) {
   return plan;
 }
 
-std::vector<std::size_t> LutScheduler::schedule_slot(
-    const nvp::SlotContext& ctx) {
+nvp::SlotAction LutScheduler::decide_slot(const nvp::SlotContext& ctx) {
   const double budget_w = ctx.solar_w * ctx.pmu->config().direct_eta;
   if (intra_mode_)
-    return IntraTaskScheduler::match_load(ctx, active_te_, budget_w);
-  return lsa_slot_decision(ctx, active_te_, config_.margin_slots);
+    return IntraTaskScheduler::match_load(ctx, te_mask_, budget_w);
+  return lsa_slot_decision(ctx, te_mask_, config_.margin_slots);
 }
 
 }  // namespace solsched::sched

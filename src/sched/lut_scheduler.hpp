@@ -28,14 +28,14 @@ class LutScheduler final : public nvp::Scheduler {
 
   std::string name() const override { return "LUT-online"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
  private:
   std::shared_ptr<const Lut> lut_;
   std::vector<double> capacities_f_;
   std::size_t n_tasks_;
   ProposedConfig config_;
-  std::vector<bool> active_te_;
+  std::uint64_t te_mask_ = task::kEveryTask;  ///< Adopted te as a mask.
   bool intra_mode_ = false;
 };
 

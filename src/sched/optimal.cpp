@@ -1,6 +1,7 @@
 #include "sched/optimal.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cmath>
 #include <limits>
@@ -332,31 +333,31 @@ nvp::PeriodPlan OptimalScheduler::begin_period(const nvp::PeriodContext& ctx) {
   const PlannedPeriod& planned = plan_.at(flat);
   nvp::PeriodPlan plan;
   plan.select_cap = planned.cap_index;
-  // The planned te drives prioritization inside schedule_slot; the engine
+  // The planned te drives prioritization inside decide_slot; the engine
   // sees everything enabled so off-plan tasks may still scavenge solar
   // surplus the bucket-quantized plan did not anticipate.
+  te_mask_ = task::te_mask(planned.te);
+  off_plan_mask_ = planned.te.empty() ? 0 : ~te_mask_;
   return plan;
 }
 
-std::vector<std::size_t> OptimalScheduler::schedule_slot(
-    const nvp::SlotContext& ctx) {
+nvp::SlotAction OptimalScheduler::decide_slot(const nvp::SlotContext& ctx) {
   const auto& graph = *ctx.graph;
   const auto& state = *ctx.state;
   const double dt = ctx.grid->dt_s;
-  const std::size_t flat = ctx.grid->flat_period(ctx.day, ctx.period);
-  const std::vector<bool>& te = plan_.at(flat).te;
 
-  // Oracle suffix energy within the remainder of this period.
+  // Oracle suffix energy within the remainder of this period, read in
+  // place from the trace.
   const std::size_t n_slots = ctx.grid->n_slots;
-  const std::vector<double> solar = trace_->period_powers(ctx.day, ctx.period);
-
-  const std::vector<bool> enabled =
-      te.empty() ? std::vector<bool>(graph.size(), true) : te;
+  const double* solar =
+      trace_->raw().data() + ctx.grid->flat_slot(ctx.day, ctx.period, 0);
 
   // Oracle starvation forcing, as in the period optimizer.
-  std::vector<bool> must_run(graph.size(), false);
-  for (std::size_t id : state.live_ready_tasks(ctx.now_in_period_s)) {
-    if (!enabled[id]) continue;
+  std::uint64_t must_run = 0;
+  for (std::uint64_t rest = state.live_ready_mask(ctx.now_in_period_s) &
+                            te_mask_;
+       rest != 0; rest &= rest - 1) {
+    const auto id = static_cast<std::size_t>(std::countr_zero(rest));
     const auto& t = graph.task(id);
     const auto dl_slot = std::min(
         n_slots,
@@ -364,39 +365,18 @@ std::vector<std::size_t> OptimalScheduler::schedule_slot(
     double future_j = 0.0;
     for (std::size_t m = ctx.slot; m < dl_slot; ++m) future_j += solar[m] * dt;
     if (future_j * direct_eta_ < state.remaining_s(id) * t.power_w)
-      must_run[id] = true;
+      must_run |= std::uint64_t{1} << id;
   }
 
   const double direct_budget_w = ctx.solar_w * direct_eta_;
-  const double max_load_w =
-      ctx.pmu->supplyable_j(ctx.solar_w, *ctx.bank, dt) / dt;
-  std::vector<std::size_t> chosen =
-      load_match_decision(graph, state, ctx.now_in_period_s, dt, enabled,
-                          direct_budget_w, must_run, max_load_w);
-  double committed_w = 0.0;
-  for (std::size_t id : chosen) committed_w += graph.task(id).power_w;
+  nvp::SlotAction action =
+      load_match_decision(graph, state, ctx.now_in_period_s, dt, te_mask_,
+                          direct_budget_w, must_run, ctx.supplyable_w());
 
-  // Scavenging pass: tasks outside the planned te may run on *free solar
-  // only* (never storage), using NVPs the plan left idle. This can only
-  // lower the realized DMR relative to the plan.
-  std::vector<bool> off_plan(graph.size());
-  for (std::size_t id = 0; id < graph.size(); ++id)
-    off_plan[id] = te.empty() ? false : !te[id];
-  const auto extra_by_nvp =
-      candidates_by_nvp(graph, state, ctx.now_in_period_s, off_plan);
-  std::vector<bool> nvp_busy(graph.nvp_count(), false);
-  for (std::size_t id : chosen) nvp_busy[graph.task(id).nvp] = true;
-  for (const auto& list : extra_by_nvp) {
-    if (list.empty()) continue;
-    const std::size_t head = list.front();
-    if (nvp_busy[graph.task(head).nvp]) continue;
-    if (committed_w + graph.task(head).power_w <= direct_budget_w) {
-      chosen.push_back(head);
-      committed_w += graph.task(head).power_w;
-      nvp_busy[graph.task(head).nvp] = true;
-    }
-  }
-  return chosen;
+  // Off-plan tasks may scavenge free solar on NVPs the plan left idle. This
+  // can only lower the realized DMR relative to the plan.
+  scavenge_free_solar(ctx, off_plan_mask_, direct_budget_w, action);
+  return action;
 }
 
 }  // namespace solsched::sched

@@ -77,7 +77,7 @@ class OptimalScheduler final : public nvp::Scheduler {
   void begin_trace(const task::TaskGraph& graph, const nvp::NodeConfig& config,
                    const solar::SolarTrace& trace) override;
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
   /// The DP's plan, one entry per flat period (valid after begin_trace).
   const std::vector<PlannedPeriod>& plan() const noexcept { return plan_; }
@@ -111,6 +111,8 @@ class OptimalScheduler final : public nvp::Scheduler {
   // Execution-time state (greedy-lazy placement over the planned te).
   const solar::SolarTrace* trace_ = nullptr;
   double direct_eta_ = 0.92;
+  std::uint64_t te_mask_ = task::kEveryTask;  ///< Period's planned te.
+  std::uint64_t off_plan_mask_ = 0;            ///< Tasks outside it.
 };
 
 }  // namespace solsched::sched

@@ -42,12 +42,8 @@ PeriodOptimizer::PeriodOptimizer(const task::TaskGraph& graph,
     deadline_s_.push_back(t.deadline_s);
     pred_mask_.push_back(graph.pred_mask(id));
   }
-  for (std::size_t k = 0; k < graph.nvp_count(); ++k) {
-    std::uint64_t mask = 0;
-    for (std::size_t id = 0; id < n; ++id)
-      if (graph.task(id).nvp == k) mask |= bit(id);
-    if (mask != 0) nvp_masks_.push_back(mask);
-  }
+  for (std::size_t k = 0; k < graph.nvp_count(); ++k)
+    if (graph.nvp_mask(k) != 0) nvp_masks_.push_back(graph.nvp_mask(k));
   for (const std::vector<bool>& te : closed_) {
     std::uint64_t mask = 0;
     double demand_j = 0.0;  // alpha_index's sum, in the same order.
@@ -239,15 +235,16 @@ class PeriodOptimizer::Kernel {
     // Intra-style placement: match the chosen load to the free solar
     // budget (storage traffic is priced by the mismatch).
     const double direct_budget_w = solar_w_[m] * opt_.pmu_.direct_eta;
+    const double deliverable_j = bank_.selected().deliverable_j();
     const double max_load_w =
-        pmu_.supplyable_j(solar_w_[m], bank_, dt) / dt;
+        pmu_.supplyable_j(solar_w_[m], deliverable_j, dt) / dt;
     const std::uint64_t pick = load_match_heads(
         std::span(heads.data(), n_heads), direct_budget_w, max_load_w);
     double committed_w = 0.0;
     for (std::size_t i = 0; i < n_heads; ++i)
       if ((pick >> i) & 1u) committed_w += heads[i].power_w;
     const storage::SlotFlow flow =
-        pmu_.run_slot(solar_w_[m], committed_w, bank_, dt);
+        pmu_.run_slot(solar_w_[m], committed_w, deliverable_j, bank_, dt);
 
     Node& next = nodes_[m + 1];
     double* rem_next = &remaining_[(m + 1) * n_tasks_];

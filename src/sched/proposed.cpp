@@ -66,7 +66,8 @@ nvp::PeriodPlan ProposedScheduler::fallback_plan(const nvp::PeriodContext& ctx,
   // Empty te = all tasks; inter mode = the plain LSA baseline. With the
   // default margin this period is scheduled exactly as LsaInterScheduler
   // would (no scavenging pass runs, since nothing is off-te).
-  active_te_.clear();
+  te_mask_ = task::kEveryTask;
+  off_te_mask_ = 0;
   intra_mode_ = false;
 
   nvp::PeriodPlan plan = lsa_fallback_plan(*ctx.bank, reason);
@@ -116,7 +117,9 @@ nvp::PeriodPlan ProposedScheduler::begin_period(const nvp::PeriodContext& ctx) {
   }
 
   last_ = Decoded{cap, alpha, te};
-  active_te_ = te;
+  // te steers prioritization; the off-te tasks may only scavenge (below).
+  te_mask_ = task::te_mask(te);
+  off_te_mask_ = te.empty() ? 0 : ~te_mask_;
 
   // --- Validation and graceful degradation (DESIGN.md §11) -----------
   // A plan that fails any check is abandoned for this period in favour of
@@ -194,45 +197,17 @@ nvp::PeriodPlan ProposedScheduler::begin_period(const nvp::PeriodContext& ctx) {
   return plan;
 }
 
-std::vector<std::size_t> ProposedScheduler::schedule_slot(
-    const nvp::SlotContext& ctx) {
-  const auto& graph = *ctx.graph;
+nvp::SlotAction ProposedScheduler::decide_slot(const nvp::SlotContext& ctx) {
   const double direct_budget_w = ctx.solar_w * ctx.pmu->config().direct_eta;
 
-  std::vector<std::size_t> chosen;
-  if (intra_mode_)
-    chosen = IntraTaskScheduler::match_load(ctx, active_te_, direct_budget_w);
-  else
-    chosen = lsa_slot_decision(ctx, active_te_, config_.margin_slots);
+  nvp::SlotAction action =
+      intra_mode_
+          ? IntraTaskScheduler::match_load(ctx, te_mask_, direct_budget_w)
+          : lsa_slot_decision(ctx, te_mask_, config_.margin_slots);
 
-  // Scavenging pass: tasks outside te may run on *free solar only*, on NVPs
-  // the te set left idle — never on stored energy, so the DBN's long-term
-  // energy plan is unaffected.
-  double committed_w = 0.0;
-  for (std::size_t id : chosen) committed_w += graph.task(id).power_w;
-  std::vector<bool> off_te(graph.size());
-  bool any_off = false;
-  for (std::size_t id = 0; id < graph.size(); ++id) {
-    off_te[id] = !active_te_.empty() && !active_te_[id];
-    any_off = any_off || off_te[id];
-  }
-  if (any_off) {
-    const auto extra = candidates_by_nvp(graph, *ctx.state,
-                                         ctx.now_in_period_s, off_te);
-    std::vector<bool> nvp_busy(graph.nvp_count(), false);
-    for (std::size_t id : chosen) nvp_busy[graph.task(id).nvp] = true;
-    for (const auto& list : extra) {
-      if (list.empty()) continue;
-      const std::size_t head = list.front();
-      if (nvp_busy[graph.task(head).nvp]) continue;
-      if (committed_w + graph.task(head).power_w <= direct_budget_w) {
-        chosen.push_back(head);
-        committed_w += graph.task(head).power_w;
-        nvp_busy[graph.task(head).nvp] = true;
-      }
-    }
-  }
-  return chosen;
+  // Off-te tasks may scavenge free solar on NVPs the te set left idle.
+  scavenge_free_solar(ctx, off_te_mask_, direct_budget_w, action);
+  return action;
 }
 
 }  // namespace solsched::sched

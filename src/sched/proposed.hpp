@@ -80,7 +80,7 @@ class ProposedScheduler final : public nvp::Scheduler {
 
   std::string name() const override { return "Proposed"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
-  std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+  nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
   /// Decoded DBN outputs of the current period (visible for tests/ablation).
   struct Decoded {
@@ -115,7 +115,8 @@ class ProposedScheduler final : public nvp::Scheduler {
   ProposedModel model_;
   ProposedConfig config_;
   Decoded last_;
-  std::vector<bool> active_te_;
+  std::uint64_t te_mask_ = task::kEveryTask;  ///< Decoded te as a mask.
+  std::uint64_t off_te_mask_ = 0;              ///< Tasks outside te.
   bool intra_mode_ = false;
   const fault::FaultInjector* faults_ = nullptr;
   std::size_t fallback_count_ = 0;

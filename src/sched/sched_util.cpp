@@ -1,12 +1,12 @@
 #include "sched/sched_util.hpp"
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 namespace solsched::sched {
-
 namespace {
 
 /// The per-NVP candidate order: earliest deadline, then less remaining
@@ -23,27 +23,33 @@ bool edf_before(const task::TaskGraph& graph, const task::PeriodState& state,
 
 }  // namespace
 
-std::vector<std::vector<std::size_t>> candidates_by_nvp(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    double now_s, const std::vector<bool>& enabled) {
-  std::vector<std::vector<std::size_t>> by_nvp(graph.nvp_count());
-  for (std::size_t id : state.live_ready_tasks(now_s)) {
-    if (!enabled.empty() && !enabled[id]) continue;
-    by_nvp[graph.task(id).nvp].push_back(id);
-  }
-  // The buckets are tiny (one entry per live task of the NVP), making
-  // insertion sort the cheapest correct choice.
-  for (auto& list : by_nvp)
-    for (std::size_t i = 1; i < list.size(); ++i) {
-      const std::size_t v = list[i];
-      std::size_t j = i;
-      while (j > 0 && edf_before(graph, state, v, list[j - 1])) {
-        list[j] = list[j - 1];
-        --j;
-      }
-      list[j] = v;
+NvpHeads::NvpHeads(const task::TaskGraph& graph,
+                   const task::PeriodState& state, std::uint64_t candidates) {
+  for (std::size_t k = 0; candidates != 0 && k < graph.nvp_count(); ++k) {
+    std::uint64_t on_nvp = candidates & graph.nvp_mask(k);
+    if (on_nvp == 0) continue;
+    candidates &= ~on_nvp;
+    auto head = static_cast<std::size_t>(std::countr_zero(on_nvp));
+    for (on_nvp &= on_nvp - 1; on_nvp != 0; on_nvp &= on_nvp - 1) {
+      const auto id = static_cast<std::size_t>(std::countr_zero(on_nvp));
+      if (edf_before(graph, state, id, head)) head = id;
     }
-  return by_nvp;
+    ids_[count_++] = static_cast<std::uint8_t>(head);
+  }
+}
+
+void NvpHeads::sort_edf(const task::TaskGraph& graph,
+                        const task::PeriodState& state) {
+  // One head per NVP: insertion sort is the cheapest correct choice.
+  for (std::size_t i = 1; i < count_; ++i) {
+    const std::uint8_t v = ids_[i];
+    std::size_t j = i;
+    while (j > 0 && edf_before(graph, state, v, ids_[j - 1])) {
+      ids_[j] = ids_[j - 1];
+      --j;
+    }
+    ids_[j] = v;
+  }
 }
 
 double latest_start_s(const task::TaskGraph& graph,
@@ -54,13 +60,6 @@ double latest_start_s(const task::TaskGraph& graph,
 bool is_forced(const task::TaskGraph& graph, const task::PeriodState& state,
                std::size_t id, double now_s, double dt_s) {
   return latest_start_s(graph, state, id) < now_s + dt_s;
-}
-
-double total_power_w(const task::TaskGraph& graph,
-                     const std::vector<std::size_t>& chosen) {
-  double acc = 0.0;
-  for (std::size_t id : chosen) acc += graph.task(id).power_w;
-  return acc;
 }
 
 bool dependency_closed(const task::TaskGraph& graph,
@@ -159,31 +158,68 @@ std::uint64_t load_match_heads(std::span<const LoadMatchHead> heads,
   return chosen;
 }
 
-std::vector<std::size_t> load_match_decision(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    double now_s, double dt_s, const std::vector<bool>& enabled,
-    double target_w, const std::vector<bool>& must_run, double max_load_w) {
-  // Each NVP's head: its first task in candidates_by_nvp's order.
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> head_of(graph.nvp_count(), kNone);
-  for (std::size_t id : state.live_ready_tasks(now_s)) {
-    if (!enabled.empty() && !enabled[id]) continue;
-    std::size_t& head = head_of[graph.task(id).nvp];
-    if (head == kNone || edf_before(graph, state, id, head)) head = id;
-  }
-  std::vector<LoadMatchHead> heads;
-  for (std::size_t id : head_of) {
-    if (id == kNone) continue;
+nvp::SlotAction load_match_decision(const task::TaskGraph& graph,
+                                    const task::PeriodState& state,
+                                    double now_s, double dt_s,
+                                    std::uint64_t enabled, double target_w,
+                                    std::uint64_t must_run,
+                                    double max_load_w) {
+  const NvpHeads by_nvp(graph, state, state.live_ready_mask(now_s) & enabled);
+  std::array<LoadMatchHead, 64> heads;
+  std::size_t n = 0;
+  for (std::size_t id : by_nvp) {
     const task::Task& t = graph.task(id);
-    heads.push_back({id, t.power_w, t.deadline_s,
-                     is_forced(graph, state, id, now_s, dt_s) ||
-                         (!must_run.empty() && must_run[id])});
+    heads[n++] = {id, t.power_w, t.deadline_s,
+                  is_forced(graph, state, id, now_s, dt_s) ||
+                      ((must_run >> id) & 1u)};
   }
-  const std::uint64_t mask = load_match_heads(heads, target_w, max_load_w);
-  std::vector<std::size_t> chosen;
-  for (std::size_t i = 0; i < heads.size(); ++i)
-    if ((mask >> i) & 1u) chosen.push_back(heads[i].id);
-  return chosen;
+  const std::uint64_t mask =
+      load_match_heads(std::span(heads.data(), n), target_w, max_load_w);
+  nvp::SlotAction action;
+  for (std::size_t i = 0; i < n; ++i)
+    if ((mask >> i) & 1u) action.add(graph, heads[i].id);
+  return action;
+}
+
+std::vector<bool> admit_in_order(const task::TaskGraph& graph,
+                                 const std::vector<std::size_t>& order,
+                                 double budget_j) {
+  std::vector<bool> enabled(graph.size(), false);
+  double committed_j = 0.0;
+  for (std::size_t id : order) {
+    // Cost of this task plus any not-yet-enabled dependencies; `visited`
+    // keeps shared predecessors from being counted twice.
+    double extra = 0.0;
+    std::vector<bool> visited(graph.size(), false);
+    std::vector<std::size_t> closure{id};
+    visited[id] = true;
+    for (std::size_t i = 0; i < closure.size(); ++i) {
+      const std::size_t t = closure[i];
+      if (enabled[t]) continue;
+      extra += graph.task(t).energy_j();
+      for (std::size_t p : graph.predecessors(t)) {
+        if (!enabled[p] && !visited[p]) {
+          visited[p] = true;
+          closure.push_back(p);
+        }
+      }
+    }
+    if (committed_j + extra <= budget_j) {
+      for (std::size_t t : closure) enabled[t] = true;
+      committed_j += extra;
+    }
+  }
+  return enabled;
+}
+
+void scavenge_free_solar(const nvp::SlotContext& ctx, std::uint64_t off_te,
+                         double budget_w, nvp::SlotAction& action) {
+  const auto& graph = *ctx.graph;
+  for (std::size_t head : NvpHeads(ctx, off_te)) {
+    if (action.mask() & graph.nvp_mask(graph.task(head).nvp)) continue;
+    if (action.load_w() + graph.task(head).power_w <= budget_w)
+      action.add(graph, head);
+  }
 }
 
 double alpha_index(const task::TaskGraph& graph,

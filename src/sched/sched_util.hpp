@@ -1,22 +1,44 @@
 // Helpers shared by scheduling policies.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "nvp/scheduler.hpp"
 #include "task/period_state.hpp"
 #include "task/task_graph.hpp"
 
 namespace solsched::sched {
 
-/// Live, ready candidate tasks grouped by NVP, each NVP's list sorted by
-/// earliest deadline first (ties: less remaining work first, then id).
-/// Only tasks with `enabled` true are considered (empty mask = all).
-std::vector<std::vector<std::size_t>> candidates_by_nvp(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    double now_s, const std::vector<bool>& enabled);
+/// The head finder every per-slot policy shares: for each NVP in index
+/// order that has a task in `candidates` (a task mask), its first task in
+/// EDF order — earliest deadline, then less remaining work, then lower id,
+/// a total order over distinct tasks. Fixed inline storage, so one per slot
+/// costs no heap.
+class NvpHeads {
+ public:
+  NvpHeads(const task::TaskGraph& graph, const task::PeriodState& state,
+           std::uint64_t candidates);
+
+  /// Heads of the live ready tasks in `enabled` at the slot of `ctx`.
+  NvpHeads(const nvp::SlotContext& ctx, std::uint64_t enabled)
+      : NvpHeads(*ctx.graph, *ctx.state,
+                 ctx.state->live_ready_mask(ctx.now_in_period_s) & enabled) {}
+
+  /// Reorders the heads into one cross-NVP EDF order (same order).
+  void sort_edf(const task::TaskGraph& graph, const task::PeriodState& state);
+
+  std::size_t size() const noexcept { return count_; }
+  const std::uint8_t* begin() const noexcept { return ids_.data(); }
+  const std::uint8_t* end() const noexcept { return ids_.data() + count_; }
+
+ private:
+  std::array<std::uint8_t, 64> ids_{};  ///< First count_ entries used.
+  std::size_t count_ = 0;
+};
 
 /// Latest slot-aligned start time after which `id` can no longer finish by
 /// its deadline: deadline - remaining (s). Negative slack means the task can
@@ -29,10 +51,6 @@ double latest_start_s(const task::TaskGraph& graph,
 bool is_forced(const task::TaskGraph& graph, const task::PeriodState& state,
                std::size_t id, double now_s, double dt_s);
 
-/// Sum of execution power of the chosen task set (W).
-double total_power_w(const task::TaskGraph& graph,
-                     const std::vector<std::size_t>& chosen);
-
 /// Dependency closure check: true if `subset` (bitmask vector) contains all
 /// predecessors of each of its members.
 bool dependency_closed(const task::TaskGraph& graph,
@@ -43,7 +61,7 @@ bool dependency_closed(const task::TaskGraph& graph,
 std::vector<std::vector<bool>> closed_subsets(const task::TaskGraph& graph);
 
 /// One NVP's head candidate for the load matcher: the live, enabled task
-/// that NVP would run next (the front of its candidates_by_nvp list).
+/// that NVP would run next (its NvpHeads entry).
 /// Trivial on purpose: the period kernel keeps a fixed array of these per
 /// slot and must not pay for initializing it.
 struct LoadMatchHead {
@@ -65,14 +83,30 @@ std::uint64_t load_match_heads(std::span<const LoadMatchHead> heads,
                                double target_w, double max_load_w);
 
 /// Per-slot load-matching decision of the intra-task baseline and the
-/// optimal scheduler's online pass: load_match_heads over each NVP's head
-/// candidate, forcing the deadline-forced heads and those listed in
-/// `must_run`. Returns the chosen task ids in NVP order.
-std::vector<std::size_t> load_match_decision(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    double now_s, double dt_s, const std::vector<bool>& enabled,
-    double target_w, const std::vector<bool>& must_run = {},
-    double max_load_w = 1e18);
+/// optimal scheduler's online pass: load_match_heads over the NvpHeads of
+/// the live tasks in `enabled`, forcing the deadline-forced heads and those
+/// in `must_run` (both task masks). Adds the chosen tasks in NVP order.
+nvp::SlotAction load_match_decision(const task::TaskGraph& graph,
+                                    const task::PeriodState& state,
+                                    double now_s, double dt_s,
+                                    std::uint64_t enabled, double target_w,
+                                    std::uint64_t must_run = 0,
+                                    double max_load_w = 1e18);
+
+/// Per-period admission of the duty-cycle and greedy policies: walks
+/// `order`, enabling each task together with its not-yet-enabled dependency
+/// closure while the closure energies admitted so far fit `budget_j`; a
+/// task whose closure does not fit is skipped. Returns the te vector.
+std::vector<bool> admit_in_order(const task::TaskGraph& graph,
+                                 const std::vector<std::size_t>& order,
+                                 double budget_j);
+
+/// Scavenging pass of Proposed and Optimal: the heads of the live tasks in
+/// `off_te` (the tasks outside the period's te) join `action` on NVPs it
+/// leaves idle, while its load stays within `budget_w` — free solar only,
+/// never stored energy, so the period's energy plan is unaffected.
+void scavenge_free_solar(const nvp::SlotContext& ctx, std::uint64_t off_te,
+                         double budget_w, nvp::SlotAction& action);
 
 /// The scheduling-pattern index α (Eq. 18): energy demanded by the subset /
 /// solar energy supplied in the period. Returns a large sentinel (1e9) when

@@ -4,13 +4,8 @@
 
 namespace solsched::storage {
 
-double Pmu::supplyable_j(double solar_w, const CapacitorBank& bank,
-                         double dt_s) const {
-  const double direct_j = solar_w * dt_s * config_.direct_eta;
-  return direct_j + bank.selected().deliverable_j();
-}
-
-SlotFlow Pmu::run_slot(double solar_w, double load_w, CapacitorBank& bank,
+SlotFlow Pmu::run_slot(double solar_w, double load_w,
+                       double cap_deliverable_j, CapacitorBank& bank,
                        double dt_s) const {
   SlotFlow flow;
   flow.solar_in_j = solar_w * dt_s;
@@ -21,7 +16,6 @@ SlotFlow Pmu::run_slot(double solar_w, double load_w, CapacitorBank& bank,
   // Feasibility check first so a brownout slot never half-drains the
   // capacitor: either the load runs for the whole slot or not at all
   // (the NVPs checkpoint and the slot's work is lost).
-  const double cap_deliverable_j = bank.selected().deliverable_j();
   const bool feasible =
       flow.load_request_j <= direct_available_j + cap_deliverable_j + 1e-12;
 

@@ -42,15 +42,31 @@ class Pmu {
   const PmuConfig& config() const noexcept { return config_; }
 
   /// Energy the load could consume this slot without browning out, given
-  /// solar power `solar_w` and the currently selected capacitor (J).
+  /// solar power `solar_w` and the selected capacitor's deliverable energy
+  /// `cap_deliverable_j` (J).
+  double supplyable_j(double solar_w, double cap_deliverable_j,
+                      double dt_s) const {
+    return solar_w * dt_s * config_.direct_eta + cap_deliverable_j;
+  }
+  /// Same, reading the deliverable energy off the bank's selected capacitor.
   double supplyable_j(double solar_w, const CapacitorBank& bank,
-                      double dt_s) const;
+                      double dt_s) const {
+    return supplyable_j(solar_w, bank.selected().deliverable_j(), dt_s);
+  }
 
   /// Executes one slot: powers a load of `load_w` for dt_s seconds if
   /// possible (else brownout with zero load), charges/discharges the
   /// selected capacitor, and applies leakage to the whole bank.
+  /// `cap_deliverable_j` must be bank.selected().deliverable_j() as of the
+  /// call — a caller that already computed it for this slot passes it on.
+  SlotFlow run_slot(double solar_w, double load_w, double cap_deliverable_j,
+                    CapacitorBank& bank, double dt_s) const;
+  /// Same, reading the deliverable energy off the bank.
   SlotFlow run_slot(double solar_w, double load_w, CapacitorBank& bank,
-                    double dt_s) const;
+                    double dt_s) const {
+    return run_slot(solar_w, load_w, bank.selected().deliverable_j(), bank,
+                    dt_s);
+  }
 
  private:
   PmuConfig config_;

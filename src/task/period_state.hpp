@@ -5,21 +5,18 @@
 // remaining execution time S'_n, readiness (all predecessors complete),
 // and deadline misses θ(S'_{D_n}).
 //
-// For graphs with n <= 64 (every benchmark in the paper has n <= 13) the
-// completed/missed sets live in two 64-bit masks: readiness is one subset
-// test against TaskGraph::pred_mask, counts are popcounts, and deadline
-// marking walks the graph's deadline-sorted order from a cursor instead of
-// rescanning all tasks. The simulator and the online schedulers query this
-// state every slot (the DP's period kernel keeps its own mask state, see
-// sched/period_optimizer.cpp). Larger graphs transparently use the original
-// vector path; both paths are observationally identical
-// (tests/task/period_state-masked tests assert equivalence against a
-// reference copy).
+// The completed and missed sets are two 64-bit masks, so a graph may have
+// at most 64 tasks (every benchmark in the paper has n <= 13; the DP's
+// period kernel has the same bound). Readiness is one subset test against
+// TaskGraph::pred_mask, counts are popcounts, and deadline marking walks
+// the graph's deadline-sorted order from a cursor instead of rescanning
+// all tasks. The simulator and the online schedulers query this state
+// every slot through the masks (the DP's period kernel keeps its own mask
+// state, see sched/period_optimizer.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -30,6 +27,8 @@ namespace solsched::task {
 /// Mutable execution state of one benchmark instance within one period.
 class PeriodState {
  public:
+  /// Throws std::invalid_argument, naming the task count, for a graph of
+  /// more than 64 tasks.
   explicit PeriodState(const TaskGraph& graph);
 
   const TaskGraph& graph() const noexcept { return *graph_; }
@@ -42,8 +41,7 @@ class PeriodState {
 
   /// True when S'_n == 0.
   bool completed(std::size_t id) const {
-    if (use_masks_) return (completed_mask_ >> check_id(id)) & 1u;
-    return remaining_.at(id) <= 1e-9;
+    return (completed_mask_ >> check_id(id)) & 1u;
   }
 
   /// True when every predecessor is completed (Eq. 7) and the task itself
@@ -52,9 +50,18 @@ class PeriodState {
 
   /// True if the deadline passed with work left (sticky once set).
   bool missed(std::size_t id) const {
-    if (use_masks_) return (missed_mask_ >> check_id(id)) & 1u;
-    return missed_.at(id);
+    return (missed_mask_ >> check_id(id)) & 1u;
   }
+
+  /// Bit set of the completed tasks.
+  std::uint64_t completed_mask() const noexcept { return completed_mask_; }
+
+  /// Bit set of the missed tasks.
+  std::uint64_t missed_mask() const noexcept { return missed_mask_; }
+
+  /// Bit set of the tasks that are ready, unfinished, not missed and still
+  /// have a live deadline (D_n > now_s), i.e. worth scheduling for DMR.
+  std::uint64_t live_ready_mask(double now_s) const;
 
   /// Advances task `id` by dt seconds of execution (not below zero).
   void execute(std::size_t id, double dt_s);
@@ -69,10 +76,6 @@ class PeriodState {
   /// missed. Call at each slot boundary; the paper evaluates θ at the first
   /// slot boundary at or after D_n.
   void mark_deadlines(double now_s);
-
-  /// Tasks that are ready, unfinished, and still have a live deadline
-  /// (deadline not yet passed), i.e. worth scheduling for DMR.
-  std::vector<std::size_t> live_ready_tasks(double now_s) const;
 
   /// Number of missed tasks so far.
   std::size_t miss_count() const;
@@ -92,9 +95,6 @@ class PeriodState {
 
   const TaskGraph* graph_;
   std::vector<double> remaining_;
-  std::vector<bool> missed_;  ///< Only maintained when !use_masks_.
-
-  bool use_masks_ = false;
   std::uint64_t completed_mask_ = 0;
   std::uint64_t missed_mask_ = 0;
   /// Cursor into graph_->deadline_order(): everything before it has been

@@ -54,6 +54,10 @@ TaskGraph::TaskGraph(std::string name, std::vector<Task> tasks,
     pred_masks_.assign(n, 0);
     for (std::size_t v = 0; v < n; ++v)
       for (std::size_t p : preds_[v]) pred_masks_[v] |= std::uint64_t{1} << p;
+    all_mask_ = n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    nvp_masks_.assign(nvp_count_, 0);
+    for (std::size_t v = 0; v < n; ++v)
+      nvp_masks_[tasks_[v].nvp] |= std::uint64_t{1} << v;
   }
   deadline_order_.resize(n);
   for (std::size_t v = 0; v < n; ++v) deadline_order_[v] = v;
@@ -63,6 +67,14 @@ TaskGraph::TaskGraph(std::string name, std::vector<Task> tasks,
                 return tasks_[a].deadline_s < tasks_[b].deadline_s;
               return a < b;
             });
+}
+
+std::uint64_t te_mask(const std::vector<bool>& te) {
+  if (te.empty()) return kEveryTask;
+  std::uint64_t mask = 0;
+  for (std::size_t id = 0; id < te.size() && id < 64; ++id)
+    if (te[id]) mask |= std::uint64_t{1} << id;
+  return mask;
 }
 
 std::vector<std::size_t> TaskGraph::tasks_on_nvp(std::size_t nvp) const {

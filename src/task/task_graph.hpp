@@ -40,12 +40,19 @@ class TaskGraph {
   /// Task ids in a topological order (dependencies first).
   const std::vector<std::size_t>& topo_order() const noexcept { return topo_; }
 
-  /// True when the graph fits the 64-bit set representation PeriodState's
-  /// fast path uses (every benchmark in the paper has n <= 13).
+  /// True when the graph fits the 64-bit task sets that PeriodState, the
+  /// slot simulator and the DP's period kernel use (every benchmark in the
+  /// paper has n <= 13).
   bool mask_capable() const noexcept { return tasks_.size() <= 64; }
 
   /// Bit set of direct predecessors of `id` (only when mask_capable()).
   std::uint64_t pred_mask(std::size_t id) const { return pred_masks_.at(id); }
+
+  /// Bit set of every task id (only when mask_capable()).
+  std::uint64_t all_tasks_mask() const noexcept { return all_mask_; }
+
+  /// Bit set of the tasks bound to NVP `nvp` (only when mask_capable()).
+  std::uint64_t nvp_mask(std::size_t nvp) const { return nvp_masks_.at(nvp); }
 
   /// Task ids sorted by (deadline_s, id) — the order deadline sweeps fire.
   const std::vector<std::size_t>& deadline_order() const noexcept {
@@ -73,8 +80,18 @@ class TaskGraph {
   std::vector<std::vector<std::size_t>> succs_;
   std::vector<std::size_t> topo_;
   std::vector<std::uint64_t> pred_masks_;
+  std::vector<std::uint64_t> nvp_masks_;
+  std::uint64_t all_mask_ = 0;
   std::vector<std::size_t> deadline_order_;
   std::size_t nvp_count_ = 0;
 };
+
+/// Task mask of every task, whatever the graph: intersected with a
+/// PeriodState mask it keeps exactly the graph's tasks.
+inline constexpr std::uint64_t kEveryTask = ~std::uint64_t{0};
+
+/// A te vector (the paper's per-period task subset) as a task mask: bit n
+/// set when te[n] is true; an empty vector means every task (kEveryTask).
+std::uint64_t te_mask(const std::vector<bool>& te);
 
 }  // namespace solsched::task

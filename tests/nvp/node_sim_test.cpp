@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "../test_helpers.hpp"
 #include "sched/asap.hpp"
 #include "sched/edf.hpp"
@@ -127,16 +131,27 @@ class RogueScheduler final : public Scheduler {
     return plan;
   }
 
-  std::vector<std::size_t> schedule_slot(const SlotContext& ctx) override {
+  SlotAction decide_slot(const SlotContext& ctx) override {
+    const auto& graph = *ctx.graph;
+    SlotAction action;
     switch (mode_) {
-      case Mode::kUnknownTask: return {ctx.graph->size() + 3};
-      case Mode::kDuplicate: return {0, 0};
-      case Mode::kNvpConflict: return {0, 2};  // indep3: both on NVP 0.
-      case Mode::kNotReady: return {ctx.graph->size() == 1 ? 0u : 1u};
-      case Mode::kOutsideTe: return {0};
-      case Mode::kBadTeSize: return {};
+      case Mode::kUnknownTask: action.add(graph, graph.size() + 3); break;
+      // A repeated id cannot be expressed as a SlotAction; the list form
+      // reaches the same check through the adapter.
+      case Mode::kDuplicate: return Scheduler::decide_slot(ctx);
+      case Mode::kNvpConflict:  // indep3: both on NVP 0.
+        action.add(graph, 0);
+        action.add(graph, 2);
+        break;
+      case Mode::kNotReady: action.add(graph, graph.size() == 1 ? 0 : 1); break;
+      case Mode::kOutsideTe: action.add(graph, 0); break;
+      case Mode::kBadTeSize: break;
     }
-    return {};
+    return action;
+  }
+
+  std::vector<std::size_t> schedule_slot(const SlotContext&) override {
+    return {0, 0};
   }
 
  private:
@@ -147,11 +162,24 @@ class ChainScheduler final : public Scheduler {
  public:
   std::string name() const override { return "Chain"; }
   PeriodPlan begin_period(const PeriodContext&) override { return {}; }
-  std::vector<std::size_t> schedule_slot(const SlotContext& ctx) override {
+  SlotAction decide_slot(const SlotContext& ctx) override {
     // Tries to run the dependent task first — must be rejected.
-    return {ctx.state->completed(0) ? 0u : 1u};
+    SlotAction action;
+    action.add(*ctx.graph, ctx.state->completed(0) ? 0u : 1u);
+    return action;
   }
 };
+
+/// The message of the std::logic_error `simulate` throws for `policy`.
+std::string rejection(const task::TaskGraph& graph, Scheduler& policy) {
+  const auto grid = test::tiny_grid();
+  try {
+    simulate(graph, bright_trace(grid, 0.2), policy, small_node(grid));
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "(accepted)";
+}
 
 TEST(NodeSimValidation, RejectsConstraintViolations) {
   const auto grid = test::tiny_grid();
@@ -177,6 +205,40 @@ TEST(NodeSimValidation, RejectsDependencyViolation) {
   ChainScheduler rogue;
   EXPECT_THROW(simulate(graph, bright_trace(grid, 0.2), rogue, node),
                std::logic_error);
+}
+
+TEST(NodeSimValidation, EachRejectionNamesItsDefect) {
+  using Mode = RogueScheduler::Mode;
+  const std::pair<Mode, const char*> cases[] = {
+      {Mode::kUnknownTask, "unknown task id"},
+      {Mode::kDuplicate, "a task twice"},
+      {Mode::kNvpConflict, "two tasks on one NVP"},
+      {Mode::kOutsideTe, "outside its te set"},
+      {Mode::kBadTeSize, "te vector has wrong size"}};
+  for (const auto& [mode, defect] : cases) {
+    RogueScheduler rogue(mode);
+    EXPECT_NE(rejection(test::indep3(), rogue).find(defect), std::string::npos)
+        << defect;
+  }
+  ChainScheduler chain;
+  EXPECT_NE(rejection(test::chain2(), chain).find("incomplete dependencies"),
+            std::string::npos);
+}
+
+TEST(NodeSim, RejectsMoreThan64Tasks) {
+  std::vector<task::Task> tasks;
+  for (std::size_t i = 0; i < 65; ++i)
+    tasks.push_back({i, "t", 300.0, 30.0, 0.01, i % 2});
+  const task::TaskGraph wide("wide", std::move(tasks), {});
+  const auto grid = test::tiny_grid();
+  sched::EdfScheduler policy;
+  try {
+    simulate(wide, bright_trace(grid, 0.2), policy, small_node(grid));
+    FAIL() << "a 65-task graph must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("65 tasks"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(NodeSim, EnergyConservationAcrossRun) {

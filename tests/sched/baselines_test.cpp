@@ -117,10 +117,9 @@ TEST(Edf, PrioritizesEarlierDeadlineOnSharedNvp) {
     nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override {
       return inner.begin_period(ctx);
     }
-    std::vector<std::size_t> schedule_slot(
-        const nvp::SlotContext& ctx) override {
-      auto out = inner.schedule_slot(ctx);
-      if (first.empty()) first = out;
+    nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override {
+      const nvp::SlotAction out = inner.decide_slot(ctx);
+      if (first.empty()) first.assign(out.begin(), out.end());
       return out;
     }
   } probe;

@@ -171,7 +171,10 @@ inline sched::PeriodEval reference_evaluate(const task::TaskGraph& graph,
   for (std::size_t m = 0; m < n_slots; ++m) {
     const double now = static_cast<double>(m) * dt;
     state.mark_deadlines(now);
-    const std::vector<std::size_t> live = state.live_ready_tasks(now);
+    std::vector<std::size_t> live;  // Ascending id order.
+    const std::uint64_t live_mask = state.live_ready_mask(now);
+    for (std::size_t id = 0; id < graph.size(); ++id)
+      if ((live_mask >> id) & 1u) live.push_back(id);
     std::vector<bool> must_run(graph.size(), false);
     for (std::size_t id : live) {
       if (!enabled[id]) continue;

@@ -8,30 +8,44 @@
 namespace solsched::sched {
 namespace {
 
-TEST(CandidatesByNvp, SortsEdfPerNvp) {
+constexpr std::uint64_t kAll = task::kEveryTask;
+
+std::vector<std::size_t> ids(const NvpHeads& heads) {
+  return {heads.begin(), heads.end()};
+}
+
+TEST(NvpHeads, PicksEdfHeadPerNvp) {
   const auto graph = test::indep3();  // NVP0: {0 (D150), 2 (D300)}, NVP1: {1}.
   task::PeriodState state(graph);
-  const auto by_nvp = candidates_by_nvp(graph, state, 0.0, {});
-  ASSERT_EQ(by_nvp.size(), 2u);
-  ASSERT_EQ(by_nvp[0].size(), 2u);
-  EXPECT_EQ(by_nvp[0][0], 0u);  // Earlier deadline first.
-  EXPECT_EQ(by_nvp[0][1], 2u);
-  EXPECT_EQ(by_nvp[1], (std::vector<std::size_t>{1}));
+  // Earlier deadline wins NVP0; heads come in NVP order.
+  EXPECT_EQ(ids(NvpHeads(graph, state, graph.all_tasks_mask())),
+            (std::vector<std::size_t>{0, 1}));
 }
 
-TEST(CandidatesByNvp, RespectsEnabledMask) {
+TEST(NvpHeads, RespectsCandidateMask) {
   const auto graph = test::indep3();
   task::PeriodState state(graph);
-  const auto by_nvp =
-      candidates_by_nvp(graph, state, 0.0, {false, true, true});
-  EXPECT_EQ(by_nvp[0], (std::vector<std::size_t>{2}));
+  EXPECT_EQ(ids(NvpHeads(graph, state, 0b110)),
+            (std::vector<std::size_t>{2, 1}));
 }
 
-TEST(CandidatesByNvp, ExcludesBlockedDependents) {
+TEST(NvpHeads, ExcludesBlockedDependents) {
   const auto graph = test::chain2();
   task::PeriodState state(graph);
-  const auto by_nvp = candidates_by_nvp(graph, state, 0.0, {});
-  EXPECT_EQ(by_nvp[0], (std::vector<std::size_t>{0}));
+  EXPECT_EQ(ids(NvpHeads(graph, state, state.live_ready_mask(0.0))),
+            (std::vector<std::size_t>{0}));
+}
+
+TEST(NvpHeads, EqualDeadlinesPreferLessRemainingWork) {
+  const auto graph = test::indep3();  // Tasks 1 (NVP1) and 2 (NVP0): D300.
+  task::PeriodState state(graph);
+  NvpHeads heads(graph, state, 0b110);
+  heads.sort_edf(graph, state);  // Task 2 has 30 s left, task 1 has 90 s.
+  EXPECT_EQ(ids(heads), (std::vector<std::size_t>{2, 1}));
+  state.execute(1, 75.0);  // Task 1 now has 15 s left.
+  NvpHeads again(graph, state, 0b110);
+  again.sort_edf(graph, state);
+  EXPECT_EQ(ids(again), (std::vector<std::size_t>{1, 2}));
 }
 
 TEST(LatestStart, DeadlineMinusRemaining) {
@@ -52,8 +66,16 @@ TEST(IsForced, TriggersNearSlack) {
 
 TEST(TotalPower, Sums) {
   const auto graph = test::indep3();
-  EXPECT_NEAR(total_power_w(graph, {0, 1}), 0.04, 1e-12);
-  EXPECT_DOUBLE_EQ(total_power_w(graph, {}), 0.0);
+  nvp::SlotAction action;
+  EXPECT_DOUBLE_EQ(action.load_w(), 0.0);
+  action.add(graph, 1);
+  action.add(graph, 0);
+  EXPECT_NEAR(action.load_w(), 0.04, 1e-12);
+  EXPECT_EQ(action.mask(), 0b011u);
+  EXPECT_EQ(std::vector<std::size_t>(action.begin(), action.end()),
+            (std::vector<std::size_t>{1, 0}));  // Decision order kept.
+  EXPECT_THROW(action.add(graph, 1), std::logic_error);  // Twice.
+  EXPECT_THROW(action.add(graph, 3), std::logic_error);  // Unknown id.
 }
 
 TEST(DependencyClosed, Checks) {
@@ -101,7 +123,7 @@ TEST(LoadMatch, PicksClosestCombination) {
   task::PeriodState state(graph);
   // Target 25 mW: best single-head-per-NVP combo is {0, 2} (=25) or {1}.
   const auto chosen =
-      load_match_decision(graph, state, 0.0, 30.0, {}, 0.025);
+      load_match_decision(graph, state, 0.0, 30.0, kAll, 0.025);
   double load = 0.0;
   for (auto id : chosen) load += graph.task(id).power_w;
   EXPECT_NEAR(load, 0.025, 1e-9);
@@ -110,7 +132,7 @@ TEST(LoadMatch, PicksClosestCombination) {
 TEST(LoadMatch, ZeroTargetRunsNothingWhenNoPressure) {
   const auto graph = test::indep3();
   task::PeriodState state(graph);
-  const auto chosen = load_match_decision(graph, state, 0.0, 30.0, {}, 0.0);
+  const auto chosen = load_match_decision(graph, state, 0.0, 30.0, kAll, 0.0);
   EXPECT_TRUE(chosen.empty());
 }
 
@@ -118,16 +140,16 @@ TEST(LoadMatch, ForcedTasksAlwaysIncluded) {
   const auto graph = test::indep3();
   task::PeriodState state(graph);
   // At t=90 task 0 (D150, S60) is forced even with zero target.
-  const auto chosen = load_match_decision(graph, state, 90.0, 30.0, {}, 0.0);
+  const auto chosen = load_match_decision(graph, state, 90.0, 30.0, kAll, 0.0);
   EXPECT_EQ(std::count(chosen.begin(), chosen.end(), 0u), 1);
 }
 
 TEST(LoadMatch, MustRunForcesTask) {
   const auto graph = test::indep3();
   task::PeriodState state(graph);
-  const auto chosen = load_match_decision(graph, state, 0.0, 30.0, {}, 0.0,
-                                          {false, true, false});
-  EXPECT_EQ(chosen, (std::vector<std::size_t>{1}));
+  const auto chosen =
+      load_match_decision(graph, state, 0.0, 30.0, kAll, 0.0, 0b010);
+  EXPECT_EQ(chosen.mask(), 0b010u);
 }
 
 TEST(LoadMatch, MaxLoadShedsForced) {
@@ -135,8 +157,8 @@ TEST(LoadMatch, MaxLoadShedsForced) {
   task::PeriodState state(graph);
   // Force all three but allow only 20 mW: the latest-deadline forced tasks
   // are shed until the set fits.
-  const auto chosen = load_match_decision(graph, state, 0.0, 30.0, {}, 1.0,
-                                          {true, true, true}, 0.020);
+  const auto chosen =
+      load_match_decision(graph, state, 0.0, 30.0, kAll, 1.0, 0b111, 0.020);
   double load = 0.0;
   for (auto id : chosen) load += graph.task(id).power_w;
   EXPECT_LE(load, 0.020 + 1e-9);
@@ -148,7 +170,7 @@ TEST(LoadMatch, InfeasibleCombosSkipped) {
   task::PeriodState state(graph);
   // Huge target but max load tiny: only combos under the cap are eligible.
   const auto chosen =
-      load_match_decision(graph, state, 0.0, 30.0, {}, 1.0, {}, 0.012);
+      load_match_decision(graph, state, 0.0, 30.0, kAll, 1.0, 0, 0.012);
   double load = 0.0;
   for (auto id : chosen) load += graph.task(id).power_w;
   EXPECT_LE(load, 0.012 + 1e-9);

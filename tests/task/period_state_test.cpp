@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "../test_helpers.hpp"
 
 namespace solsched::task {
@@ -59,11 +62,34 @@ TEST(PeriodState, CompletionBeforeDeadlineIsNotMiss) {
 TEST(PeriodState, LiveReadyExcludesMissedAndPastDeadline) {
   const TaskGraph g = test::indep3();  // Deadlines 150, 300, 300.
   PeriodState s(g);
-  EXPECT_EQ(s.live_ready_tasks(0.0).size(), 3u);
+  EXPECT_EQ(s.live_ready_mask(0.0), 0b111u);
   s.mark_deadlines(150.0);  // Task 0 missed.
-  const auto live = s.live_ready_tasks(150.0);
-  EXPECT_EQ(live.size(), 2u);
-  EXPECT_EQ(std::count(live.begin(), live.end(), 0u), 0);
+  EXPECT_EQ(s.missed_mask(), 0b001u);
+  EXPECT_EQ(s.live_ready_mask(150.0), 0b110u);
+}
+
+TEST(PeriodState, MasksTrackCompletionAndReadiness) {
+  const TaskGraph g = test::chain2();  // t0 -> t1.
+  PeriodState s(g);
+  EXPECT_EQ(s.live_ready_mask(0.0), 0b01u);  // t1 waits on t0.
+  s.execute(0, 60.0);
+  EXPECT_EQ(s.completed_mask(), 0b01u);
+  EXPECT_EQ(s.live_ready_mask(60.0), 0b10u);
+  EXPECT_EQ(s.live_ready_mask(300.0), 0u);  // t1's deadline has passed.
+}
+
+TEST(PeriodState, RejectsMoreThan64Tasks) {
+  std::vector<Task> tasks;
+  for (std::size_t i = 0; i < 65; ++i)
+    tasks.push_back({i, "t", 300.0, 30.0, 0.01, 0});
+  const TaskGraph g("wide", std::move(tasks), {});
+  try {
+    PeriodState s(g);
+    FAIL() << "a 65-task graph must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("65 tasks"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PeriodState, DmrCountsFraction) {
