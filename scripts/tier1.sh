@@ -14,7 +14,7 @@
 # spec-axis/registry drift, period-kernel oracle, DP pin), a
 # SOLSCHED_SIMD=OFF scalar-fallback build with a cross-build
 # controller-decision check, plus the concurrency/obs/telemetry/serve/
-# tsdb/sched/durable suites rerun under ThreadSanitizer, the fault suite
+# tsdb/sched/durable/campaign suites rerun under ThreadSanitizer, the fault suite
 # rerun under UndefinedBehaviorSanitizer, and the simd parity, campaign,
 # durable-file and sched suites rerun under AddressSanitizer+UBSan.
 #
@@ -81,10 +81,12 @@ echo "== tier 1: campaign kill/resume smoke ($BUILD_DIR) =="
 # The campaign suite, then the CLI-level crash-safety drill: one
 # uninterrupted serial campaign, one campaign stopped after 3 shards
 # (exit 3) and resumed at default threads sharing the same artifact cache —
-# the two aggregate files must be byte-identical.
+# the two aggregate files must be byte-identical. The Optimal row is on the
+# axis, so the resume also covers planning only the remaining shards' traces.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L campaign
 CAMP_SPEC="workloads=ecg;seeds=1..4;intensities=0,1;fault=blackout=3"
-CAMP_SPEC="$CAMP_SPEC;schedulers=inter,proposed;periods=12;slots=10;days=1"
+CAMP_SPEC="$CAMP_SPEC;schedulers=inter,proposed,optimal;periods=12;slots=10"
+CAMP_SPEC="$CAMP_SPEC;days=1"
 CAMP_SPEC="$CAMP_SPEC;train_days=1;n_caps=2;dp_buckets=6;pretrain_epochs=2"
 CAMP_SPEC="$CAMP_SPEC;finetune_epochs=10"
 CAMP_TMP="$BUILD_DIR/campaign-smoke"
@@ -270,15 +272,17 @@ SOLSCHED_THREADS=1 "$SCALAR_DIR/tools/solsched-campaign" run \
 cmp "$XBUILD_TMP/simd/journal.jsonl" "$XBUILD_TMP/scalar/journal.jsonl"
 echo "scalar and SIMD builds journal bit-identical wam+ecg decisions"
 
-echo "== tier 1: TSan rerun of concurrency + obs + telemetry + serve + tsdb + sched + durable ($TSAN_DIR) =="
+echo "== tier 1: TSan rerun of concurrency + obs + telemetry + serve + tsdb + sched + durable + campaign ($TSAN_DIR) =="
 # sched rides along because the registry is consulted concurrently from
 # every comparison job and the zoo suite runs 4-thread sweeps — exactly
 # where a mutable-registry regression would race; durable because its
-# drill stores one artifact key from two threads while a third loads it.
+# drill stores one artifact key from two threads while a third loads it;
+# campaign because the runner plans each trace's Optimal row on the pool
+# and its shards then read the shared plans concurrently.
 cmake -B "$TSAN_DIR" -S . -DSOLSCHED_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS"
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -L "concurrency|obs|telemetry|serve|tsdb|sched|durable"
+  -L "concurrency|obs|telemetry|serve|tsdb|sched|durable|campaign"
 
 echo "== tier 1: UBSan rerun of fault suite ($UBSAN_DIR) =="
 cmake -B "$UBSAN_DIR" -S . -DSOLSCHED_SANITIZE=undefined

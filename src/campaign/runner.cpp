@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "ann/dbn.hpp"
 #include "campaign/artifact_cache.hpp"
@@ -252,11 +253,39 @@ CampaignResult run_campaign(const CampaignConfig& config) {
             [](const auto& kv) { return kv.second.disk_hit; }));
   }
 
-  // ---- Shard execution: dynamic claiming over the pool. ------------------
-  const fault::FaultPlan base_plan = spec.fault_plan();
   core::ComparisonConfig cmp_template;
   cmp_template.scheduler_ids = spec.schedulers;
   cmp_template.dp = pipeline_config(spec).dp;
+  const auto eval_trace = [&spec](std::uint64_t seed) {
+    return spec.generator(seed).generate_days(spec.eval_days, spec.grid(1),
+                                              spec.eval_day0);
+  };
+
+  // ---- Optimal plans: one DP per (workload, seed), before any shard. -----
+  // The DP reads the clean trace and never the fault injector, so every
+  // intensity of one trace shares a plan (DESIGN.md §13). Planned on the
+  // node run_comparison gives the Optimal row (the artifact's sized bank),
+  // without the Eq. 13 LUT the comparison never reads.
+  using TraceKey = std::pair<std::string, std::uint64_t>;
+  std::map<TraceKey, std::shared_ptr<const sched::DpPlan>> plans;
+  if (spec.has_scheduler("optimal")) {
+    OBS_SPAN("campaign.plan");
+    for (const Scenario& s : remaining) plans[{s.workload, s.seed}];
+    std::vector<decltype(plans)::iterator> todo;
+    for (auto it = plans.begin(); it != plans.end(); ++it) todo.push_back(it);
+    util::parallel_for(todo.size(), [&](std::size_t g) {
+      const auto& [workload, seed] = todo[g]->first;
+      const auto artifact = artifacts.find(workload);
+      todo[g]->second = sched::plan_dp(
+          CampaignSpec::workload_graph(workload),
+          artifact != artifacts.end() ? artifact->second.controller->node
+                                      : node,
+          eval_trace(seed), cmp_template.dp);
+    });
+  }
+
+  // ---- Shard execution: dynamic claiming over the pool. ------------------
+  const fault::FaultPlan base_plan = spec.fault_plan();
 
   std::vector<ShardRecord> fresh(remaining.size());
   std::vector<char> executed(remaining.size(), 0);
@@ -271,9 +300,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       bus->shard_claimed(scenario.shard, scenario.workload, node_digest_hex);
     const task::TaskGraph graph =
         CampaignSpec::workload_graph(scenario.workload);
-    const solar::SolarTrace trace =
-        spec.generator(scenario.seed)
-            .generate_days(spec.eval_days, spec.grid(1), spec.eval_day0);
+    const solar::SolarTrace trace = eval_trace(scenario.seed);
 
     const fault::FaultPlan plan = base_plan.scaled(scenario.intensity);
     std::unique_ptr<fault::FaultInjector> injector;
@@ -282,6 +309,9 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 
     core::ComparisonConfig cmp = cmp_template;
     cmp.faults = injector.get();
+    if (const auto plan = plans.find({scenario.workload, scenario.seed});
+        plan != plans.end())
+      cmp.dp.plan = plan->second;
     const core::TrainedController* trained = nullptr;
     ShardRecord record;
     const auto artifact = artifacts.find(scenario.workload);

@@ -186,13 +186,18 @@ std::vector<ResiliencePoint> run_resilience_sweep(
     injectors.push_back(std::make_unique<fault::FaultInjector>(
         config.plan.scaled(intensity), trace.grid()));
 
+  // The Optimal row never sees the injector, so one plan serves every
+  // intensity.
+  sched::OptimalConfig dp;
+  if (lists(config.scheduler_ids, "optimal") && !config.intensities.empty())
+    dp.plan = sched::plan_dp(graph, effective, trace, dp);
+
   // One scheduler context per intensity (the injectors differ), in stable
   // storage: the jobs capture them by reference.
   std::vector<sched::SchedulerContext> contexts;
   contexts.reserve(config.intensities.size());
   for (std::size_t i = 0; i < config.intensities.size(); ++i)
-    contexts.push_back(
-        make_context(trained, sched::OptimalConfig{}, injectors[i].get()));
+    contexts.push_back(make_context(trained, dp, injectors[i].get()));
 
   const bool with_volatile = config.volatile_ablation && trained &&
                              lists(config.scheduler_ids, "proposed");

@@ -94,8 +94,10 @@ struct ResiliencePoint {
 };
 
 /// Runs every listed policy at every intensity of `config`, one shared
-/// deterministic injector per intensity. Rows execute on the thread pool;
-/// results are identical at any SOLSCHED_THREADS setting.
+/// deterministic injector per intensity. The fault-blind Optimal row is
+/// planned once (sched::plan_dp) and replayed at every intensity. Rows
+/// execute on the thread pool; results are identical at any
+/// SOLSCHED_THREADS setting.
 std::vector<ResiliencePoint> run_resilience_sweep(
     const task::TaskGraph& graph, const solar::SolarTrace& trace,
     const nvp::NodeConfig& node, const TrainedController* trained,

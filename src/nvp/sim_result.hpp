@@ -33,6 +33,8 @@ struct PeriodRecord {
   double backup_energy_j = 0.0;         ///< Energy drawn for checkpoints.
   double restore_energy_j = 0.0;        ///< Energy drawn for recoveries.
   double lost_progress_s = 0.0;         ///< Volatile baseline: wiped work.
+
+  friend bool operator==(const PeriodRecord&, const PeriodRecord&) = default;
 };
 
 /// Full result of simulating one (benchmark, trace, policy) triple.
@@ -40,6 +42,8 @@ struct SimResult {
   std::vector<PeriodRecord> periods;
   double initial_bank_energy_j = 0.0;  ///< Bank energy before the first slot.
   double final_bank_energy_j = 0.0;    ///< Bank energy after the last slot.
+
+  friend bool operator==(const SimResult&, const SimResult&) = default;
 
   /// Long-term DMR: mean of per-period DMRs (Eq. 6 with equal task counts).
   double overall_dmr() const;

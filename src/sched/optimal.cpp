@@ -8,11 +8,13 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sched/sched_util.hpp"
+#include "util/byte_format.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,40 +31,108 @@ double forecast_factor(std::uint64_t seed, std::size_t window_start,
   return std::max(0.05, 1.0 + sigma * rng.normal());
 }
 
+std::uint64_t fold(std::uint64_t h, double x) {
+  return util::fnv1a_u64(h, std::bit_cast<std::uint64_t>(x));
+}
+
+std::uint64_t fold(std::uint64_t h, std::size_t n) {
+  return util::fnv1a_u64(h, static_cast<std::uint64_t>(n));
+}
+
+/// "knob (plan's value vs begin_trace's value)".
+template <typename T>
+std::string differs(const char* knob, T plan, T now) {
+  const auto text = [](T v) {
+    if constexpr (std::is_floating_point_v<T>) return util::format_shortest(v);
+    else return std::to_string(v);
+  };
+  return std::string(knob) + " (" + text(plan) + " vs " + text(now) + ")";
+}
+
 }  // namespace
 
-OptimalScheduler::OptimalScheduler(OptimalConfig config)
-    : config_(std::move(config)) {
-  if (config_.energy_buckets == 0)
-    throw std::invalid_argument("OptimalScheduler: need >= 1 energy bucket");
-  if (config_.use_option_cache)
-    cache_ = config_.shared_cache ? config_.shared_cache
-                                  : std::make_shared<PeriodOptionCache>();
-}
-
-void OptimalScheduler::begin_trace(const task::TaskGraph& graph,
-                                   const nvp::NodeConfig& config,
-                                   const solar::SolarTrace& trace) {
-  trace_ = &trace;
-  direct_eta_ = config.pmu.direct_eta;
-  run_dp(graph, config, trace);
-}
-
-void OptimalScheduler::run_dp(const task::TaskGraph& graph,
-                              const nvp::NodeConfig& config,
-                              const solar::SolarTrace& trace) {
-  OBS_SPAN("dp.run");
+DpInputs DpInputs::of(const task::TaskGraph& graph,
+                      const nvp::NodeConfig& config,
+                      const solar::SolarTrace& trace,
+                      const OptimalConfig& dp) {
+  DpInputs in;
   const solar::TimeGrid& grid = trace.grid();
-  const std::size_t n_periods = grid.total_periods();
-  const std::size_t n_caps = config.capacities_f.size();
-  const std::size_t n_buckets = config_.energy_buckets;
-  const double dt = grid.dt_s;
+  std::uint64_t h = fold(util::kFnv1aOffsetBasis, grid.n_days);
+  h = fold(fold(fold(h, grid.n_periods), grid.n_slots), grid.dt_s);
+  for (double w : trace.raw()) h = fold(h, w);
+  in.trace = h;
 
+  h = fold(util::kFnv1aOffsetBasis, config.capacities_f.size());
+  for (double c : config.capacities_f) h = fold(h, c);
+  h = fold(fold(fold(h, config.v_low), config.v_high), config.pmu.direct_eta);
+  h = fold(fold(h, config.leakage.k_cap()), config.leakage.k_volt());
+  // The regulator curves are fitted polynomials; sampling them across the
+  // operating window pins their behaviour, as node_config_digest does.
+  for (double v = 0.5; v <= 5.0; v += 0.5)
+    h = fold(fold(h, config.regulators.input.eta(v)),
+             config.regulators.output.eta(v));
+  in.bank = fold(fold(h, config.initial_cap), config.initial_usable_j);
+
+  h = fold(util::kFnv1aOffsetBasis, graph.size());
+  for (const task::Task& t : graph.tasks())
+    h = fold(fold(fold(fold(h, t.deadline_s), t.exec_s), t.power_w), t.nvp);
+  h = fold(h, graph.edges().size());
+  for (const task::Edge& e : graph.edges()) h = fold(fold(h, e.from), e.to);
+  in.graph = h;
+
+  in.energy_buckets = dp.energy_buckets;
+  in.horizon_periods = dp.horizon_periods;
+  in.forecast_noise = dp.forecast_noise;
+  in.noise_seed = dp.noise_seed;
+  in.allow_cap_switch = dp.allow_cap_switch;
+  in.v0_quant_steps = dp.v0_quant_steps;
+  return in;
+}
+
+std::string DpInputs::first_difference(const DpInputs& other) const {
+  if (trace != other.trace) return "trace (solar samples or time grid)";
+  if (bank != other.bank)
+    return "capacitor bank (node physics or initial state)";
+  if (graph != other.graph) return "task graph";
+  if (energy_buckets != other.energy_buckets)
+    return differs("energy_buckets", energy_buckets, other.energy_buckets);
+  if (horizon_periods != other.horizon_periods)
+    return differs("horizon_periods", horizon_periods, other.horizon_periods);
+  if (forecast_noise != other.forecast_noise)
+    return differs("forecast_noise", forecast_noise, other.forecast_noise);
+  if (noise_seed != other.noise_seed)
+    return differs("noise_seed", noise_seed, other.noise_seed);
+  if (allow_cap_switch != other.allow_cap_switch)
+    return differs<int>("allow_cap_switch", allow_cap_switch,
+                        other.allow_cap_switch);
+  if (v0_quant_steps != other.v0_quant_steps)
+    return differs("v0_quant_steps", v0_quant_steps, other.v0_quant_steps);
+  return {};
+}
+
+std::shared_ptr<const DpPlan> plan_dp(const task::TaskGraph& graph,
+                                      const nvp::NodeConfig& config,
+                                      const solar::SolarTrace& trace,
+                                      const OptimalConfig& dp, Lut* lut) {
+  OBS_SPAN("dp.run");
+  if (dp.energy_buckets == 0)
+    throw std::invalid_argument("plan_dp: need >= 1 energy bucket");
   if (graph.size() > 64)
     throw std::invalid_argument(
         "OptimalScheduler: task graphs above 64 tasks are not supported "
         "(the DP packs the te decision into a 64-bit mask); got " +
         std::to_string(graph.size()) + " tasks");
+
+  const solar::TimeGrid& grid = trace.grid();
+  const std::size_t n_periods = grid.total_periods();
+  const std::size_t n_caps = config.capacities_f.size();
+  const std::size_t n_buckets = dp.energy_buckets;
+  const double dt = grid.dt_s;
+
+  std::shared_ptr<PeriodOptionCache> cache;
+  if (dp.use_option_cache)
+    cache = dp.shared_cache ? dp.shared_cache
+                            : std::make_shared<PeriodOptionCache>();
 
   PeriodOptimizer optimizer(graph, config.pmu, config.regulators,
                             config.leakage, config.v_low, config.v_high, dt);
@@ -73,20 +143,20 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
   const auto options_for = [&](const std::vector<double>& solar_w,
                                double capacity_f, double v0) {
     const double vq = PeriodOptionCache::quantize_v0(
-        v0, config.v_low, config.v_high, config_.v0_quant_steps);
-    if (!cache_) {
+        v0, config.v_low, config.v_high, dp.v0_quant_steps);
+    if (!cache) {
       OBS_SPAN("dp.pareto_options");
       return std::make_shared<const std::vector<PeriodOption>>(
           optimizer.pareto_options(solar_w, capacity_f, vq));
     }
-    return cache_->lookup_or_compute(solar_w, capacity_f, vq, [&] {
+    return cache->lookup_or_compute(solar_w, capacity_f, vq, [&] {
       OBS_SPAN("dp.pareto_options");
       return optimizer.pareto_options(solar_w, capacity_f, vq);
     });
   };
   const auto quantized_v0 = [&](double v0) {
     return PeriodOptionCache::quantize_v0(v0, config.v_low, config.v_high,
-                                          config_.v0_quant_steps);
+                                          dp.v0_quant_steps);
   };
 
   // Per-capacitor bucket geometry over usable energy. Buckets only bound the
@@ -113,12 +183,12 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
     return std::sqrt(2.0 * (std::max(0.0, usable) + floor_j) / c);
   };
 
-  plan_.assign(n_periods, {});
-  planned_misses_ = 0;
-  dp_evaluations_ = 0;
+  auto plan = std::make_shared<DpPlan>();
+  plan->periods.assign(n_periods, {});
+  plan->inputs = DpInputs::of(graph, config, trace, dp);
 
   const std::size_t horizon =
-      config_.horizon_periods == 0 ? n_periods : config_.horizon_periods;
+      dp.horizon_periods == 0 ? n_periods : dp.horizon_periods;
 
   // Committed state carried across planning windows.
   std::size_t state_h = config.initial_cap;
@@ -164,7 +234,7 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
       const double lookahead_days =
           static_cast<double>(i) / static_cast<double>(grid.n_periods);
       const double factor = forecast_factor(
-          config_.noise_seed, w0, p, config_.forecast_noise * lookahead_days);
+          dp.noise_seed, w0, p, dp.forecast_noise * lookahead_days);
       window_solar[i] =
           trace.period_powers(p / grid.n_periods, p % grid.n_periods);
       for (double& s : window_solar[i]) s *= factor;
@@ -186,7 +256,7 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
       // Day-boundary capacitor re-selection: the abandoned capacitor's
       // energy is written off (the paper: inter-day carry-over is rare
       // because storage drains overnight anyway).
-      if (config_.allow_cap_switch && p % grid.n_periods == 0) {
+      if (dp.allow_cap_switch && p % grid.n_periods == 0) {
         for (std::size_t h = 0; h < n_caps; ++h)
           for (std::size_t b = 0; b < n_buckets; ++b) {
             const Cell from = at(layers[i], h, b);
@@ -230,7 +300,7 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
         const std::size_t h = live[k] / n_buckets;
         const std::size_t b = live[k] % n_buckets;
         const Cell& from = at(layers[i], h, b);
-        ++dp_evaluations_;
+        ++plan->dp_evaluations;
         const auto& options = row_options[k];
         for (const PeriodOption& opt : *options) {
           Cell candidate;
@@ -266,8 +336,8 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
     if (best_cost >= kInf)
       throw std::logic_error("OptimalScheduler: DP found no feasible path");
 
-    // Backtrack: recover the plan; re-derive each path state's full option
-    // set once more for the LUT (the paper's "optimal samples").
+    // Backtrack: recover the plan; with a LUT, re-derive each path state's
+    // full option set once more for it (the paper's "optimal samples").
     std::size_t h = best_h, b = best_b;
     for (std::size_t i = len; i-- > 0;) {
       const Cell cell = at(layers[i + 1], h, b);
@@ -286,25 +356,27 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
       // The quantized voltage is what the options were evaluated at; record
       // it so plan and LUT describe the evaluation that actually ran.
       planned.planned_v0 = quantized_v0(voltage_of(ph, prev.usable));
-      plan_[w0 + i] = std::move(planned);
-      planned_misses_ += cell.misses;
+      plan->periods[w0 + i] = std::move(planned);
+      plan->planned_misses += cell.misses;
 
-      double solar_energy = 0.0;
-      for (double sw : window_solar[i]) solar_energy += sw * dt;
-      const auto options = options_for(window_solar[i],
-                                       config.capacities_f[ph],
-                                       voltage_of(ph, prev.usable));
-      for (const auto& sibling : *options) {
-        LutEntry entry;
-        entry.key = LutKey{
-            static_cast<double>(sibling.misses) /
-                static_cast<double>(std::max<std::size_t>(1, graph.size())),
-            solar_energy, config.capacities_f[ph],
-            quantized_v0(voltage_of(ph, prev.usable))};
-        entry.consumed_j = sibling.consumed_cap_j;
-        entry.alpha = sibling.alpha;
-        entry.te = sibling.te;
-        lut_.insert(std::move(entry));
+      if (lut) {
+        double solar_energy = 0.0;
+        for (double sw : window_solar[i]) solar_energy += sw * dt;
+        const auto options = options_for(window_solar[i],
+                                         config.capacities_f[ph],
+                                         voltage_of(ph, prev.usable));
+        for (const auto& sibling : *options) {
+          LutEntry entry;
+          entry.key = LutKey{
+              static_cast<double>(sibling.misses) /
+                  static_cast<double>(std::max<std::size_t>(1, graph.size())),
+              solar_energy, config.capacities_f[ph],
+              quantized_v0(voltage_of(ph, prev.usable))};
+          entry.consumed_j = sibling.consumed_cap_j;
+          entry.alpha = sibling.alpha;
+          entry.te = sibling.te;
+          lut->insert(std::move(entry));
+        }
       }
 
       h = ph;
@@ -323,14 +395,44 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
 
   OBS_COUNTER_ADD("sched.dp.runs", 1);
   OBS_COUNTER_ADD("sched.dp.periods_planned", n_periods);
-  OBS_COUNTER_ADD("sched.dp.evaluations", dp_evaluations_);
-  OBS_COUNTER_ADD("sched.dp.planned_misses", planned_misses_);
-  OBS_COUNTER_ADD("sched.dp.lut_entries", lut_.size());
+  OBS_COUNTER_ADD("sched.dp.evaluations", plan->dp_evaluations);
+  OBS_COUNTER_ADD("sched.dp.planned_misses", plan->planned_misses);
+  if (lut) OBS_COUNTER_ADD("sched.dp.lut_entries", lut->size());
+  return plan;
+}
+
+OptimalScheduler::OptimalScheduler(OptimalConfig config)
+    : config_(std::move(config)), plan_(std::make_shared<const DpPlan>()) {
+  if (config_.energy_buckets == 0)
+    throw std::invalid_argument("OptimalScheduler: need >= 1 energy bucket");
+  if (config_.use_option_cache && !config_.plan)
+    cache_ = config_.shared_cache ? config_.shared_cache
+                                  : std::make_shared<PeriodOptionCache>();
+}
+
+void OptimalScheduler::begin_trace(const task::TaskGraph& graph,
+                                   const nvp::NodeConfig& config,
+                                   const solar::SolarTrace& trace) {
+  trace_ = &trace;
+  direct_eta_ = config.pmu.direct_eta;
+  if (!config_.plan) {
+    OptimalConfig dp = config_;
+    dp.shared_cache = cache_;
+    plan_ = plan_dp(graph, config, trace, dp, &lut_);
+    return;
+  }
+  const std::string mismatch = config_.plan->inputs.first_difference(
+      DpInputs::of(graph, config, trace, config_));
+  if (!mismatch.empty())
+    throw std::invalid_argument(
+        "OptimalScheduler: the handed DP plan was made for a different " +
+        mismatch);
+  plan_ = config_.plan;
 }
 
 nvp::PeriodPlan OptimalScheduler::begin_period(const nvp::PeriodContext& ctx) {
   const std::size_t flat = ctx.grid->flat_period(ctx.day, ctx.period);
-  const PlannedPeriod& planned = plan_.at(flat);
+  const PlannedPeriod& planned = plan_->periods.at(flat);
   nvp::PeriodPlan plan;
   plan.select_cap = planned.cap_index;
   // The planned te drives prioritization inside decide_slot; the engine

@@ -14,10 +14,17 @@
 // A finite `horizon_periods` plus `forecast_noise` turns the oracle into a
 // bounded-lookahead planner with degrading long-range forecasts — the knob
 // behind the paper's Fig. 10(a) prediction-length study.
+//
+// The DP's result is a value (DpPlan, from plan_dp) apart from the
+// scheduler's execution state. The plan reads the clean trace and never the
+// fault injector, so callers that simulate one trace many times (the
+// intensities of a campaign's (workload, seed), a resilience sweep) plan it
+// once and hand the plan to each OptimalScheduler through OptimalConfig.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nvp/scheduler.hpp"
@@ -26,6 +33,8 @@
 #include "sched/period_optimizer.hpp"
 
 namespace solsched::sched {
+
+struct DpPlan;
 
 /// DP configuration.
 struct OptimalConfig {
@@ -55,6 +64,11 @@ struct OptimalConfig {
   /// Optional externally owned cache, e.g. shared between the training
   /// oracle and a comparison run on the same trace. Null = private cache.
   std::shared_ptr<PeriodOptionCache> shared_cache;
+  /// Optional plan from plan_dp for the exact inputs begin_trace will see;
+  /// the scheduler then runs no DP and has an empty lut(). A plan whose
+  /// inputs differ throws std::invalid_argument naming the input. Null =
+  /// plan in begin_trace.
+  std::shared_ptr<const DpPlan> plan;
 };
 
 /// Per-period decision recovered from the DP.
@@ -66,6 +80,53 @@ struct PlannedPeriod {
   double planned_consumed_j = 0.0;
   double planned_v0 = 0.0;  ///< Bucket-center voltage the plan assumed.
 };
+
+/// What a plan was computed from: digests of the trace, the node's bank
+/// and the task graph, plus the OptimalConfig knobs that shape the plan
+/// (verbatim, so a mismatch names the knob). The option cache and a handed
+/// plan are left out: neither changes the result.
+struct DpInputs {
+  std::uint64_t trace = 0;  ///< Solar samples and time grid.
+  std::uint64_t bank = 0;   ///< Capacitors, V_L/V_H, PMU, regulators,
+                            ///< leakage, initial capacitor and energy.
+  std::uint64_t graph = 0;  ///< Tasks and dependency edges.
+  std::size_t energy_buckets = 0;
+  std::size_t horizon_periods = 0;
+  double forecast_noise = 0.0;
+  std::uint64_t noise_seed = 0;
+  bool allow_cap_switch = true;
+  std::size_t v0_quant_steps = 0;
+
+  static DpInputs of(const task::TaskGraph& graph,
+                     const nvp::NodeConfig& config,
+                     const solar::SolarTrace& trace,
+                     const OptimalConfig& dp);
+
+  /// The first input in which `other` differs from this, as a phrase for an
+  /// error message ("trace ...", "energy_buckets (<this> vs <other>)", ...);
+  /// empty when they are equal.
+  std::string first_difference(const DpInputs& other) const;
+};
+
+/// The DP's result, immutable once built: one decision per flat period, the
+/// misses it expects, the work it took and the inputs it was computed from.
+struct DpPlan {
+  std::vector<PlannedPeriod> periods;
+  std::size_t planned_misses = 0;  ///< Lower-bound estimate over the trace.
+  std::size_t dp_evaluations = 0;  ///< Per-period Pareto evaluations.
+  DpInputs inputs;
+};
+
+/// Runs the DP (Eq. 12-14) on `trace`. Deterministic at every thread count.
+/// The option cache follows `dp` (shared_cache, else a private one, unless
+/// use_option_cache is off). When `lut` is non-null the backtrack appends
+/// every option of each plan state to it as Eq. 13 entries; a plan that is
+/// only replayed needs none, so the backtrack then re-derives nothing.
+std::shared_ptr<const DpPlan> plan_dp(const task::TaskGraph& graph,
+                                      const nvp::NodeConfig& config,
+                                      const solar::SolarTrace& trace,
+                                      const OptimalConfig& dp,
+                                      Lut* lut = nullptr);
 
 /// Offline optimal policy (requires the full trace in begin_trace).
 class OptimalScheduler final : public nvp::Scheduler {
@@ -80,34 +141,38 @@ class OptimalScheduler final : public nvp::Scheduler {
   nvp::SlotAction decide_slot(const nvp::SlotContext& ctx) override;
 
   /// The DP's plan, one entry per flat period (valid after begin_trace).
-  const std::vector<PlannedPeriod>& plan() const noexcept { return plan_; }
+  const std::vector<PlannedPeriod>& plan() const noexcept {
+    return plan_->periods;
+  }
 
-  /// Every option the DP evaluated, as Eq. 13 LUT entries.
+  /// Every option on the plan's path, as Eq. 13 LUT entries (empty when the
+  /// plan was handed in through OptimalConfig::plan).
   const Lut& lut() const noexcept { return lut_; }
 
   /// Total misses the DP expects over the trace (lower bound estimate).
-  std::size_t planned_total_misses() const noexcept { return planned_misses_; }
+  std::size_t planned_total_misses() const noexcept {
+    return plan_->planned_misses;
+  }
 
   /// Number of per-period Pareto evaluations the DP performed — the
   /// planning-complexity measure reported by the Fig. 10(a) bench.
-  std::size_t dp_evaluations() const noexcept { return dp_evaluations_; }
+  std::size_t dp_evaluations() const noexcept {
+    return plan_->dp_evaluations;
+  }
 
   /// Hit/miss/eviction counters of the option cache (all-zero when
-  /// use_option_cache is false). Valid after begin_trace.
+  /// use_option_cache is false or the plan was handed in). Valid after
+  /// begin_trace.
   OptionCacheStats option_cache_stats() const {
     return cache_ ? cache_->stats() : OptionCacheStats{};
   }
 
  private:
-  void run_dp(const task::TaskGraph& graph, const nvp::NodeConfig& config,
-              const solar::SolarTrace& trace);
-
   OptimalConfig config_;
-  std::shared_ptr<PeriodOptionCache> cache_;  ///< Null when caching is off.
-  std::vector<PlannedPeriod> plan_;
+  /// Null when caching is off or the plan was handed in.
+  std::shared_ptr<PeriodOptionCache> cache_;
+  std::shared_ptr<const DpPlan> plan_;  ///< Never null.
   Lut lut_;
-  std::size_t planned_misses_ = 0;
-  std::size_t dp_evaluations_ = 0;
   // Execution-time state (greedy-lazy placement over the planned te).
   const solar::SolarTrace* trace_ = nullptr;
   double direct_eta_ = 0.92;

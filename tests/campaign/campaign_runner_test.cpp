@@ -7,8 +7,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 
+#include "campaign/artifact_cache.hpp"
 #include "campaign/report.hpp"
+#include "core/experiment.hpp"
+#include "fault/fault_injector.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -235,6 +240,99 @@ TEST_F(CampaignRunner, ArtifactKeyAndControllerFingerprintArePinned) {
   EXPECT_EQ(result.records[0].controller_fingerprint, 0x9f603f10d1fef136ull);
   EXPECT_TRUE(std::filesystem::exists(config.cache_dir +
                                       "/f9ebf1a782f586ed.controller"));
+}
+
+// The Optimal row is planned once per (workload, seed) and replayed at each
+// intensity: six traces, six DP runs at any thread count, and every record
+// byte-identical to one built from a per-scenario run_comparison that plans
+// for itself (the independent reference). A spec without "optimal" plans
+// nothing.
+TEST_F(CampaignRunner, PlansOncePerTrace) {
+  const std::string tiny =
+      "fault=blackout=3;periods=12;slots=10;days=1;train_days=1;n_caps=2;"
+      "dp_buckets=6;pretrain_epochs=2;finetune_epochs=10";
+  const std::string grid = "workloads=wam,ecg;seeds=1..3;intensities=0,0.5,1;";
+  const std::string cache = fresh_dir("camp_plan_cache");
+  // Train both controllers first: training runs a DP of its own.
+  CampaignConfig warm;
+  warm.spec = CampaignSpec::parse(grid + "schedulers=proposed;" + tiny);
+  warm.dir = fresh_dir("camp_plan_warm");
+  warm.cache_dir = cache;
+  ASSERT_EQ(run_campaign(warm).trainings, 2u);
+
+  const auto dp_runs = [&](const std::string& schedulers, std::size_t threads,
+                           const char* dir) {
+    util::ThreadPool::set_global_threads(threads);
+    obs::MetricsRegistry::global().reset();
+    CampaignConfig config;
+    config.spec = CampaignSpec::parse(grid + "schedulers=" + schedulers + ";" +
+                                      tiny);
+    config.dir = fresh_dir(dir);
+    config.cache_dir = cache;
+    CampaignResult result = run_campaign(config);
+    EXPECT_EQ(result.trainings, 0u);
+    EXPECT_EQ(result.executed, 18u);
+    return std::make_pair(
+        obs::MetricsRegistry::global().snapshot().counter_or("sched.dp.runs"),
+        std::move(result));
+  };
+  const std::string all_ten =
+      "asap,edf,duty,inter,intra,proposed,optimal,ccedf,laedf,greedy";
+  const auto [serial_runs, serial] = dp_runs(all_ten, 1, "camp_plan_1t");
+  const auto [parallel_runs, parallel] = dp_runs(all_ten, 4, "camp_plan_4t");
+  EXPECT_EQ(serial_runs, 6);
+  EXPECT_EQ(parallel_runs, 6);
+  EXPECT_EQ(dp_runs("inter,proposed", 4, "camp_plan_none").first, 0);
+  util::ThreadPool::set_global_threads(1);
+
+  const CampaignSpec spec =
+      CampaignSpec::parse(grid + "schedulers=" + all_ten + ";" + tiny);
+  const ArtifactCache artifacts(cache);
+  nvp::NodeConfig node;
+  node.grid = spec.grid(1);
+  std::size_t power_failure_slots = 0;
+  ASSERT_EQ(serial.records.size(), 18u);
+  ASSERT_EQ(parallel.records.size(), 18u);
+  for (std::size_t i = 0; i < serial.records.size(); ++i) {
+    const ShardRecord& record = serial.records[i];
+    core::TrainedController trained;
+    ASSERT_TRUE(artifacts.load(record.artifact_key, &trained));
+    const solar::SolarTrace trace = spec.generator(record.seed).generate_days(
+        spec.eval_days, spec.grid(1), spec.eval_day0);
+    const fault::FaultInjector faults(
+        spec.fault_plan().scaled(record.intensity), trace.grid());
+    core::ComparisonConfig cmp;
+    cmp.scheduler_ids = spec.schedulers;
+    cmp.dp = core::PipelineConfig::default_dp();
+    cmp.dp.energy_buckets = spec.dp_buckets;
+    cmp.faults = &faults;
+
+    ShardRecord expected = record;  // Scenario and artifact provenance.
+    expected.rows.clear();
+    for (const core::ComparisonRow& row : core::run_comparison(
+             CampaignSpec::workload_graph(record.workload), trace, node,
+             &trained, cmp)) {
+      ShardRow out;
+      out.algo = row.algo;
+      out.dmr = row.dmr;
+      out.energy_utilization = row.energy_utilization;
+      out.migration_efficiency = row.migration_efficiency;
+      out.brownouts = row.brownouts;
+      out.solar_j = row.sim.total_solar_j();
+      out.served_j = row.sim.total_served_j();
+      out.loss_j = row.sim.total_loss_j();
+      out.power_failure_slots = row.sim.total_power_failure_slots();
+      out.fallbacks = row.sim.total_fallbacks();
+      power_failure_slots += out.power_failure_slots;
+      expected.rows.push_back(std::move(out));
+    }
+    EXPECT_EQ(expected.rows.size(), 10u);
+    EXPECT_EQ(record.to_json(), expected.to_json()) << "shard " << i;
+    EXPECT_EQ(parallel.records[i].to_json(), expected.to_json())
+        << "shard " << i;
+  }
+  // The grid draws real blackouts, so intensities really differ.
+  EXPECT_GT(power_failure_slots, 0u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/report.hpp"
 #include "fault/fault_injector.hpp"
 #include "nvp/node_sim.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sim_trace.hpp"
 #include "sched/lsa_inter.hpp"
 #include "sched/proposed.hpp"
@@ -275,6 +276,51 @@ TEST(FaultSim, ResilienceSweepDeterministicAcrossThreadCounts) {
   const std::string table = core::resilience_table(serial);
   EXPECT_NE(table.find("Proposed (volatile)"), std::string::npos);
   EXPECT_NE(table.find("Inter-task"), std::string::npos);
+}
+
+// The Optimal row never reads the injector, so the sweep plans it once and
+// replays the plan at every intensity. Each point must equal a
+// run_comparison at that intensity that plans for itself, with the sweep's
+// own DP config (OptimalConfig{}) and an injector from the same plan.
+TEST(FaultSim, ResilienceSweepPlansOptimalOnce) {
+  const auto& controller = trained_controller();
+  const auto grid = test::small_grid();
+  const auto trace = test::scaled_generator(grid, 9).generate_day(
+      solar::DayKind::kPartlyCloudy, grid);
+  core::ResilienceConfig config;
+  config.plan = blackout_plan();
+  config.intensities = {0.0, 0.5, 1.0};
+  config.scheduler_ids = {"inter", "proposed", "optimal"};
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::MetricsRegistry::global().reset();
+  const auto points = core::run_resilience_sweep(
+      test::indep3(), trace, controller.node, &controller, config);
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().snapshot().counter_or("sched.dp.runs"),
+      1);
+  obs::set_enabled(was_enabled);
+
+  ASSERT_EQ(points.size(), config.intensities.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const fault::FaultInjector faults(
+        config.plan.scaled(config.intensities[i]), trace.grid());
+    core::ComparisonConfig cmp;
+    cmp.scheduler_ids = config.scheduler_ids;
+    cmp.dp = sched::OptimalConfig{};
+    cmp.faults = &faults;
+    const auto rows = core::run_comparison(test::indep3(), trace,
+                                           controller.node, &controller, cmp);
+    ASSERT_EQ(rows.size(), 3u);
+    for (const core::ComparisonRow& want : rows) {
+      const core::ComparisonRow& got = core::row_of(points[i].rows, want.id);
+      EXPECT_EQ(got.algo, want.algo);
+      EXPECT_EQ(got.dmr, want.dmr) << want.id << " at point " << i;
+      EXPECT_TRUE(got.sim == want.sim) << want.id << " at point " << i;
+    }
+  }
+  EXPECT_GT(points.back().rows.front().sim.total_power_failure_slots(), 0u);
 }
 
 TEST(FaultSim, FaultEventTraceIdenticalAcrossThreadCounts) {
