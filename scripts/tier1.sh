@@ -80,11 +80,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L sched
 echo "== tier 1: campaign kill/resume smoke ($BUILD_DIR) =="
 # The campaign suite, then the CLI-level crash-safety drill: one
 # uninterrupted serial campaign, one campaign stopped after 3 shards
-# (exit 3) and resumed at default threads sharing the same artifact cache —
-# the two aggregate files must be byte-identical. The Optimal row is on the
-# axis, so the resume also covers planning only the remaining shards' traces.
+# (exit 3) and resumed at default threads — the two aggregate files must be
+# byte-identical. The Optimal row is on the axis, so the resume also covers
+# planning only the remaining shards' traces. Each run starts from its own
+# cold artifact cache, so the stopped run trains its two workloads
+# concurrently and the serial one trains them in turn; the .controller
+# files of the two caches must be byte-identical too.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L campaign
-CAMP_SPEC="workloads=ecg;seeds=1..4;intensities=0,1;fault=blackout=3"
+CAMP_SPEC="workloads=ecg,wam;seeds=1..4;intensities=0,1;fault=blackout=3"
 CAMP_SPEC="$CAMP_SPEC;schedulers=inter,proposed,optimal;periods=12;slots=10"
 CAMP_SPEC="$CAMP_SPEC;days=1"
 CAMP_SPEC="$CAMP_SPEC;train_days=1;n_caps=2;dp_buckets=6;pretrain_epochs=2"
@@ -92,7 +95,8 @@ CAMP_SPEC="$CAMP_SPEC;finetune_epochs=10"
 CAMP_TMP="$BUILD_DIR/campaign-smoke"
 rm -rf "$CAMP_TMP"
 SOLSCHED_THREADS=1 "$BUILD_DIR/tools/solsched-campaign" run \
-  --spec "$CAMP_SPEC" --dir "$CAMP_TMP/full" --cache-dir "$CAMP_TMP/cache"
+  --spec "$CAMP_SPEC" --dir "$CAMP_TMP/full" \
+  --cache-dir "$CAMP_TMP/cache-serial"
 rc=0
 "$BUILD_DIR/tools/solsched-campaign" run --spec "$CAMP_SPEC" \
   --dir "$CAMP_TMP/resumed" --cache-dir "$CAMP_TMP/cache" \
@@ -101,9 +105,14 @@ rc=0
 "$BUILD_DIR/tools/solsched-campaign" run --spec "$CAMP_SPEC" \
   --dir "$CAMP_TMP/resumed" --cache-dir "$CAMP_TMP/cache"
 cmp "$CAMP_TMP/full/aggregate.json" "$CAMP_TMP/resumed/aggregate.json"
+[ "$(ls "$CAMP_TMP/cache-serial"/*.controller | wc -l)" -eq 2 ] || {
+  echo "expected two trained controllers"; exit 1; }
+for f in "$CAMP_TMP/cache-serial"/*.controller; do
+  cmp "$f" "$CAMP_TMP/cache/$(basename "$f")"
+done
 "$BUILD_DIR/tools/solsched-inspect" campaign \
   "$CAMP_TMP/resumed/journal.jsonl" > /dev/null
-echo "campaign kill/resume aggregates bit-identical"
+echo "campaign kill/resume aggregates and controllers bit-identical"
 
 echo "== tier 1: live telemetry ($BUILD_DIR) =="
 # The telemetry suite, then the CLI-level drill from DESIGN.md §15: a

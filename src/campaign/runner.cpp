@@ -197,11 +197,22 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   }
 
   // ---- Offline artifacts: one per workload, content-addressed. -----------
-  // Trained serially (train_pipeline parallelizes internally; an outer
-  // parallel loop would only serialize it again) and normalized through the
-  // serialize/deserialize round trip even on the train path, so a scenario's
-  // rows never depend on whether its controller came from cache or from
-  // this process (see artifact_cache.hpp).
+  // The offline phase is independent per workload, so the remaining
+  // workloads' artifacts come from one parallel_for: each item cache-loads,
+  // or else trains, stores and reloads, then fingerprints, into its own
+  // slot, merged in workload order. A train_pipeline inside a pool worker
+  // runs its nested parallel_for serially, which is the 1-thread path, so
+  // artifacts are bit-identical at any thread count. The parallelism has
+  // to come from this loop: most of a training is the sequential DBN
+  // fine-tune, so one workload at a time a cold paper-grid wam+ecg+shm
+  // phase takes ~280 ms at 1 and at 4 threads alike, against about the
+  // longest single training when they run concurrently (DESIGN.md §13).
+  // On failure every started item finishes, the smallest-index exception
+  // is rethrown before any shard runs, and finished artifacts stay in the
+  // cache for the rerun. Both paths go through the serialize/deserialize
+  // round trip, so a scenario's rows never depend on whether its
+  // controller came from cache or from this process (see
+  // artifact_cache.hpp).
   // Train only when the axis lists a policy that actually needs a
   // controller (registry metadata, not a hard-coded name check).
   const bool needs_controller = std::any_of(
@@ -212,13 +223,17 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   std::map<std::string, Artifact> artifacts;
   if (needs_controller && !remaining.empty()) {
     OBS_SPAN("campaign.train");
-    ArtifactCache cache(config.cache_dir.empty() ? config.dir + "/cache"
-                                                 : config.cache_dir);
+    const ArtifactCache cache(config.cache_dir.empty()
+                                  ? config.dir + "/cache"
+                                  : config.cache_dir);
     const core::PipelineConfig pcfg = pipeline_config(spec);
     std::set<std::string> needed;
     for (const Scenario& s : remaining) needed.insert(s.workload);
-    for (const std::string& workload : needed) {
-      Artifact artifact;
+    const std::vector<std::string> workloads(needed.begin(), needed.end());
+    std::vector<Artifact> built(workloads.size());
+    util::parallel_for(workloads.size(), [&](std::size_t w) {
+      const std::string& workload = workloads[w];
+      Artifact& artifact = built[w];
       artifact.key = artifact_key_of(spec, node, workload);
       auto controller = std::make_shared<core::TrainedController>();
       if (cache.load(artifact.key, controller.get())) {
@@ -235,7 +250,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
                                solar::DayKind::kPartlyCloudy);
         cache.store(artifact.key,
                     core::train_pipeline(graph, training, node, pcfg));
-        ++result.trainings;
         OBS_COUNTER_ADD("campaign.train.runs", 1);
         if (!cache.load(artifact.key, controller.get()))
           throw std::runtime_error(
@@ -245,12 +259,12 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       artifact.controller = std::move(controller);
       artifact.fingerprint =
           fingerprint_controller(*artifact.controller, artifact.key);
-      artifacts.emplace(workload, std::move(artifact));
+    });
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+      if (built[w].disk_hit) ++result.artifact_disk_hits;
+      else ++result.trainings;
+      artifacts.emplace(workloads[w], std::move(built[w]));
     }
-    result.artifact_disk_hits =
-        static_cast<std::size_t>(std::count_if(
-            artifacts.begin(), artifacts.end(),
-            [](const auto& kv) { return kv.second.disk_hit; }));
   }
 
   core::ComparisonConfig cmp_template;

@@ -141,8 +141,13 @@ std::vector<ComparisonRow> run_comparison(const task::TaskGraph& graph,
   // Policy rows are independent simulations: one registry-built factory
   // per listed id, run on the thread pool into pre-sized slots, returned
   // in registration order — identical rows at any thread count.
-  const sched::SchedulerContext ctx =
-      make_context(trained, config.dp, config.faults);
+  sched::SchedulerContext ctx = make_context(trained, config.dp, config.faults);
+  // Unless the caller hands a plan, the Optimal row's is made here, on the
+  // sized bank the row simulates on and with the context's option cache,
+  // exactly as the row would plan for itself, minus the Eq. 13 LUT that a
+  // self-planning scheduler fills and the comparison never reads.
+  if (!ctx.dp.plan && lists(config.scheduler_ids, "optimal"))
+    ctx.dp.plan = sched::plan_dp(graph, effective, trace, ctx.dp);
   const std::vector<std::function<ComparisonRow()>> row_jobs =
       registry_jobs(graph, trace, effective, baseline_node,
                     config.scheduler_ids, ctx, trained != nullptr,

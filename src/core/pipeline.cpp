@@ -104,7 +104,7 @@ TrainedController train_pipeline(const task::TaskGraph& graph,
     const nvp::SimResult oracle_run =
         nvp::simulate(graph, training_trace, recorder, out.node);
     out.oracle_dmr = oracle_run.overall_dmr();
-    out.lut = oracle.lut();
+    out.lut = oracle.take_lut();
     out.option_cache = dp_cfg.shared_cache;
     out.dp_cache_stats = oracle.option_cache_stats();
     samples = recorder.take_samples();

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace solsched::sched {
@@ -20,12 +21,13 @@ struct LutKey {
   double v0 = 0.0;             ///< V^sc at the period start.
 };
 
-/// LUT output tuple (plus its key for inspection).
+/// LUT output tuple (plus its key for inspection). Heap-free, so a LUT is
+/// one contiguous block.
 struct LutEntry {
   LutKey key;
   double consumed_j = 0.0;  ///< Minimum E^c.
   double alpha = 0.0;       ///< Pattern-selection index (Eq. 18).
-  std::vector<bool> te;     ///< Executed-task bits.
+  std::uint64_t te = 0;     ///< Executed tasks as a mask (bit n = task n).
 };
 
 /// Nearest-neighbour lookup table over normalized key space.
@@ -37,6 +39,9 @@ class Lut {
                double cap_scale = 50.0, double volt_scale = 5.0);
 
   void insert(LutEntry entry);
+  /// Room for `n` entries in total, so a filler that knows its count
+  /// allocates the table once and exactly.
+  void reserve(std::size_t n) { entries_.reserve(n); }
 
   std::size_t size() const noexcept { return entries_.size(); }
   bool empty() const noexcept { return entries_.empty(); }

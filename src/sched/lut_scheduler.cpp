@@ -41,9 +41,13 @@ nvp::PeriodPlan LutScheduler::begin_period(const nvp::PeriodContext& ctx) {
   }
   if (!best) return {};
 
-  te_mask_ = best->te.size() == n_tasks_ && !config_.ignore_te
-                 ? task::te_mask(best->te)
-                 : task::kEveryTask;
+  // An entry naming a task this graph lacks was built for another workload:
+  // adopt no te restriction from it.
+  const std::uint64_t graph_tasks =
+      n_tasks_ >= 64 ? task::kEveryTask : (std::uint64_t{1} << n_tasks_) - 1;
+  te_mask_ = config_.ignore_te || (best->te & ~graph_tasks) != 0
+                 ? task::kEveryTask
+                 : best->te;
 
   nvp::PeriodPlan plan;
   const std::size_t current = ctx.bank->selected_index();

@@ -190,23 +190,34 @@ std::shared_ptr<const DpPlan> plan_dp(const task::TaskGraph& graph,
   const std::size_t horizon =
       dp.horizon_periods == 0 ? n_periods : dp.horizon_periods;
 
+  // One Eq. 13 LUT row per backtracked path state: its option set and key.
+  struct LutRow {
+    std::shared_ptr<const std::vector<PeriodOption>> options;
+    double solar_energy_j = 0.0;
+    double capacity_f = 0.0;
+    double v0 = 0.0;
+  };
+  std::vector<LutRow> lut_rows;
+  std::size_t lut_entries = 0;
+
   // Committed state carried across planning windows.
   std::size_t state_h = config.initial_cap;
   double state_usable = config.initial_usable_j;
 
   // One DP label per (layer, capacitor, bucket): dominance keeps the lowest
-  // cost, ties broken toward more stored energy.
+  // cost, ties broken toward more stored energy. Packed to 40 bytes: the
+  // predecessor is one flat (h, b) index of the layer before.
   struct Cell {
     double cost = kInf;
     double usable = 0.0;
-    int prev_h = -1;
-    int prev_b = -1;
-    bool from_switch = false;     ///< Day-boundary capacitor change marker.
     std::uint64_t te_mask = 0;    ///< Decision that produced this label.
+    std::int32_t prev = -1;       ///< Predecessor's h * n_buckets + b.
     float alpha = 0.0f;
     float consumed = 0.0f;
+    bool from_switch = false;     ///< Day-boundary capacitor change marker.
     std::uint8_t misses = 0;
   };
+  static_assert(sizeof(Cell) == 40);
   auto relax = [](Cell& to, const Cell& candidate) {
     if (candidate.cost < to.cost - 1e-12 ||
         (std::fabs(candidate.cost - to.cost) <= 1e-12 &&
@@ -215,12 +226,6 @@ std::shared_ptr<const DpPlan> plan_dp(const task::TaskGraph& graph,
       return true;
     }
     return false;
-  };
-  auto mask_of = [](const std::vector<bool>& te) {
-    std::uint64_t mask = 0;
-    for (std::size_t n = 0; n < te.size(); ++n)
-      if (te[n]) mask |= (std::uint64_t{1} << n);
-    return mask;
   };
 
   for (std::size_t w0 = 0; w0 < n_periods; w0 += horizon) {
@@ -266,8 +271,7 @@ std::shared_ptr<const DpPlan> plan_dp(const task::TaskGraph& graph,
               Cell candidate;
               candidate.cost = from.cost;
               candidate.usable = 0.0;
-              candidate.prev_h = static_cast<int>(h);
-              candidate.prev_b = static_cast<int>(b);
+              candidate.prev = static_cast<std::int32_t>(h * n_buckets + b);
               candidate.from_switch = true;
               relax(at(layers[i], h2, 0), candidate);
             }
@@ -306,9 +310,8 @@ std::shared_ptr<const DpPlan> plan_dp(const task::TaskGraph& graph,
           Cell candidate;
           candidate.cost = from.cost + static_cast<double>(opt.misses);
           candidate.usable = opt.final_usable_j;
-          candidate.prev_h = static_cast<int>(h);
-          candidate.prev_b = static_cast<int>(b);
-          candidate.te_mask = mask_of(opt.te);
+          candidate.prev = static_cast<std::int32_t>(live[k]);
+          candidate.te_mask = opt.te;
           candidate.alpha = static_cast<float>(opt.alpha);
           candidate.consumed = static_cast<float>(opt.consumed_cap_j);
           candidate.misses = static_cast<std::uint8_t>(opt.misses);
@@ -341,8 +344,8 @@ std::shared_ptr<const DpPlan> plan_dp(const task::TaskGraph& graph,
     std::size_t h = best_h, b = best_b;
     for (std::size_t i = len; i-- > 0;) {
       const Cell cell = at(layers[i + 1], h, b);
-      const auto ph = static_cast<std::size_t>(cell.prev_h);
-      const auto pb = static_cast<std::size_t>(cell.prev_b);
+      const auto ph = static_cast<std::size_t>(cell.prev) / n_buckets;
+      const auto pb = static_cast<std::size_t>(cell.prev) % n_buckets;
       const Cell& prev = at(layers[i], ph, pb);
 
       PlannedPeriod planned;
@@ -362,35 +365,42 @@ std::shared_ptr<const DpPlan> plan_dp(const task::TaskGraph& graph,
       if (lut) {
         double solar_energy = 0.0;
         for (double sw : window_solar[i]) solar_energy += sw * dt;
-        const auto options = options_for(window_solar[i],
-                                         config.capacities_f[ph],
-                                         voltage_of(ph, prev.usable));
-        for (const auto& sibling : *options) {
-          LutEntry entry;
-          entry.key = LutKey{
-              static_cast<double>(sibling.misses) /
-                  static_cast<double>(std::max<std::size_t>(1, graph.size())),
-              solar_energy, config.capacities_f[ph],
-              quantized_v0(voltage_of(ph, prev.usable))};
-          entry.consumed_j = sibling.consumed_cap_j;
-          entry.alpha = sibling.alpha;
-          entry.te = sibling.te;
-          lut->insert(std::move(entry));
-        }
+        lut_rows.push_back({options_for(window_solar[i],
+                                        config.capacities_f[ph],
+                                        voltage_of(ph, prev.usable)),
+                            solar_energy, config.capacities_f[ph],
+                            plan->periods[w0 + i].planned_v0});
+        lut_entries += lut_rows.back().options->size();
       }
 
       h = ph;
       b = pb;
       // Unwind any day-boundary switch relaxation.
       while (at(layers[i], h, b).from_switch) {
-        const Cell& cur = at(layers[i], h, b);
-        h = static_cast<std::size_t>(cur.prev_h);
-        b = static_cast<std::size_t>(cur.prev_b);
+        const auto prev_flat =
+            static_cast<std::size_t>(at(layers[i], h, b).prev);
+        h = prev_flat / n_buckets;
+        b = prev_flat % n_buckets;
       }
     }
 
     state_h = best_h;
     state_usable = best_usable;
+  }
+
+  // The LUT is filled once the path's option count is known, so its
+  // table is allocated once and exactly, in backtrack order.
+  if (lut) {
+    lut->reserve(lut->size() + lut_entries);
+    const double n_tasks =
+        static_cast<double>(std::max<std::size_t>(1, graph.size()));
+    for (const LutRow& row : lut_rows)
+      for (const PeriodOption& sibling : *row.options)
+        lut->insert({{static_cast<double>(sibling.misses) / n_tasks,
+                      row.solar_energy_j, row.capacity_f, row.v0},
+                     sibling.consumed_cap_j,
+                     sibling.alpha,
+                     sibling.te});
   }
 
   OBS_COUNTER_ADD("sched.dp.runs", 1);

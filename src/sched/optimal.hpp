@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nvp/scheduler.hpp"
@@ -148,6 +149,10 @@ class OptimalScheduler final : public nvp::Scheduler {
   /// Every option on the plan's path, as Eq. 13 LUT entries (empty when the
   /// plan was handed in through OptimalConfig::plan).
   const Lut& lut() const noexcept { return lut_; }
+
+  /// Moves lut() out, leaving it empty: the pipeline keeps the table
+  /// without a second copy of it.
+  Lut take_lut() noexcept { return std::move(lut_); }
 
   /// Total misses the DP expects over the trace (lower bound estimate).
   std::size_t planned_total_misses() const noexcept {

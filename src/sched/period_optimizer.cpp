@@ -34,7 +34,6 @@ PeriodOptimizer::PeriodOptimizer(const task::TaskGraph& graph,
   if (!graph.mask_capable())
     throw std::invalid_argument(
         "PeriodOptimizer: task graphs above 64 tasks are not supported");
-  closed_ = closed_subsets(graph);
   const std::size_t n = graph.size();
   for (std::size_t id = 0; id < n; ++id) {
     const task::Task& t = graph.task(id);
@@ -44,7 +43,7 @@ PeriodOptimizer::PeriodOptimizer(const task::TaskGraph& graph,
   }
   for (std::size_t k = 0; k < graph.nvp_count(); ++k)
     if (graph.nvp_mask(k) != 0) nvp_masks_.push_back(graph.nvp_mask(k));
-  for (const std::vector<bool>& te : closed_) {
+  for (const std::vector<bool>& te : closed_subsets(graph)) {
     std::uint64_t mask = 0;
     double demand_j = 0.0;  // alpha_index's sum, in the same order.
     for (std::size_t id = 0; id < n; ++id)
@@ -320,7 +319,7 @@ std::vector<PeriodOption> PeriodOptimizer::pareto_options(
   std::vector<Kernel::Outcome> outcomes(closed_masks_.size());
   kernel.run(closed_masks_, outcomes, nullptr);
   OBS_COUNTER_ADD("sched.pareto.calls", 1);
-  OBS_COUNTER_ADD("sched.pareto.subset_evals", closed_.size());
+  OBS_COUNTER_ADD("sched.pareto.subset_evals", closed_masks_.size());
   OBS_COUNTER_ADD("sched.pareto.slot_steps", kernel.slot_steps());
 
   double supply_j = 0.0;  // alpha_index's sum, in the same order.
@@ -330,7 +329,7 @@ std::vector<PeriodOption> PeriodOptimizer::pareto_options(
   // smaller E^c, tie-break on higher final energy, then the earliest subset.
   std::vector<PeriodOption> best(graph_->size() + 1);
   std::vector<bool> seen(graph_->size() + 1, false);
-  for (std::size_t i = 0; i < closed_.size(); ++i) {
+  for (std::size_t i = 0; i < closed_masks_.size(); ++i) {
     const Kernel::Outcome& eval = outcomes[i];
     const double consumed_cap_j =
         kernel.initial_usable_j() - eval.final_usable_j;
@@ -347,13 +346,16 @@ std::vector<PeriodOption> PeriodOptimizer::pareto_options(
                              eval.final_usable_j,
                              eval.final_voltage_v,
                              alpha_index(closed_demand_j_[i], supply_j),
-                             closed_[i]};
+                             closed_masks_[i]};
     }
   }
 
+  // Sized exactly: the DP's option cache holds every result it returns.
   std::vector<PeriodOption> out;
+  out.reserve(
+      static_cast<std::size_t>(std::count(seen.begin(), seen.end(), true)));
   for (std::size_t k = 0; k < best.size(); ++k)
-    if (seen[k]) out.push_back(std::move(best[k]));
+    if (seen[k]) out.push_back(best[k]);
   return out;
 }
 

@@ -37,14 +37,15 @@ struct PeriodEval {
 };
 
 /// One entry of the per-period Pareto frontier: for a given achievable miss
-/// count, the minimum-E^c way to reach it.
+/// count, the minimum-E^c way to reach it. Heap-free: te is the subset's
+/// task mask (bit n = task n), the form the kernel and the DP labels use.
 struct PeriodOption {
   std::size_t misses = 0;
   double consumed_cap_j = 0.0;
   double final_usable_j = 0.0;
   double final_voltage_v = 0.0;
   double alpha = 0.0;
-  std::vector<bool> te;
+  std::uint64_t te = 0;
 };
 
 /// Evaluates task subsets within one period over one capacitor.
@@ -91,14 +92,14 @@ class PeriodOptimizer {
   double v_low_;
   double v_high_;
   double dt_s_;
-  std::vector<std::vector<bool>> closed_;  ///< Cached closed subsets.
   // Per-task constants hoisted out of the kernel, indexed by task id.
   std::vector<double> power_w_;
   std::vector<double> deadline_s_;
   std::vector<std::uint64_t> pred_mask_;
   /// Task mask of each NVP that has tasks, in ascending NVP order.
   std::vector<std::uint64_t> nvp_masks_;
-  std::vector<std::uint64_t> closed_masks_;  ///< closed_ as bit masks.
+  /// Dependency-closed subsets as task masks, in closed_subsets() order.
+  std::vector<std::uint64_t> closed_masks_;
   std::vector<double> closed_demand_j_;      ///< α numerator per subset.
 };
 

@@ -63,11 +63,11 @@ PeriodOptionCache::lookup_or_compute(
   auto value = std::make_shared<const std::vector<PeriodOption>>(compute());
 
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = map_.emplace(key, value);
+  const auto [it, inserted] = map_.emplace(std::move(key), value);
   if (inserted) {
-    insertion_order_.push_back(std::move(key));
+    insertion_order_.push_back(&it->first);
     while (map_.size() > max_entries_) {
-      map_.erase(insertion_order_.front());
+      map_.erase(map_.find(*insertion_order_.front()));
       insertion_order_.pop_front();
       ++stats_.evictions;
       OBS_COUNTER_ADD("sched.option_cache.evictions", 1);

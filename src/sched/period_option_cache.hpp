@@ -93,7 +93,9 @@ class PeriodOptionCache {
   std::unordered_map<Key, std::shared_ptr<const std::vector<PeriodOption>>,
                      KeyHash>
       map_;
-  std::deque<Key> insertion_order_;  ///< FIFO eviction queue.
+  /// FIFO eviction queue. Each key is stored once, in its map node (node
+  /// addresses survive rehashing), so the queue holds pointers to them.
+  std::deque<const Key*> insertion_order_;
   OptionCacheStats stats_;
 };
 

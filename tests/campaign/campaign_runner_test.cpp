@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -15,6 +16,7 @@
 #include "core/experiment.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/metrics.hpp"
+#include "util/byte_format.hpp"
 #include "util/thread_pool.hpp"
 
 namespace solsched::campaign {
@@ -238,8 +240,14 @@ TEST_F(CampaignRunner, ArtifactKeyAndControllerFingerprintArePinned) {
   ASSERT_EQ(result.records.size(), 1u);
   EXPECT_EQ(result.records[0].artifact_key, 0xf9ebf1a782f586edull);
   EXPECT_EQ(result.records[0].controller_fingerprint, 0x9f603f10d1fef136ull);
-  EXPECT_TRUE(std::filesystem::exists(config.cache_dir +
-                                      "/f9ebf1a782f586ed.controller"));
+  // The whole serialized controller (bank, thresholds, normalizer, DBN
+  // weights), not only the decisions the fingerprint probes.
+  std::ifstream file(config.cache_dir + "/f9ebf1a782f586ed.controller");
+  ASSERT_TRUE(file.good());
+  std::ostringstream bytes;
+  bytes << file.rdbuf();
+  EXPECT_EQ(util::fnv1a(bytes.str()), 0x13452dd574d49289ull)
+      << "0x" << std::hex << util::fnv1a(bytes.str());
 }
 
 // The Optimal row is planned once per (workload, seed) and replayed at each

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "../test_helpers.hpp"
+#include "nvp/node_sim.hpp"
+#include "obs/metrics.hpp"
 
 namespace solsched::core {
 namespace {
@@ -80,6 +82,44 @@ TEST(Experiment, ProposedIncludedWithController) {
   for (const auto& row : rows)
     for (const auto& p : row.sim.periods)
       EXPECT_LT(p.cap_index, controller.node.capacities_f.size());
+}
+
+// With no plan handed in, the comparison plans its Optimal row once, without
+// the Eq. 13 LUT a self-planning OptimalScheduler fills, and the row equals
+// that scheduler's own run on the sized bank with the pipeline's cache.
+TEST(Experiment, OptimalRowIsPlannedWithoutLut) {
+  const auto grid = test::small_grid();
+  const auto gen = test::scaled_generator(grid, 54);
+  const auto graph = task::wam_benchmark();
+  PipelineConfig pc;
+  pc.n_caps = 2;
+  pc.dp.energy_buckets = 8;
+  pc.dbn.pretrain.epochs = 2;
+  pc.dbn.finetune.epochs = 10;
+  const TrainedController controller = train_pipeline(
+      graph, gen.generate_days(2, grid), test::small_node(grid), pc);
+  const auto trace = gen.generate_day(solar::DayKind::kOvercast, grid);
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::MetricsRegistry::global().reset();
+  ComparisonConfig config;
+  config.scheduler_ids = {"inter", "optimal"};
+  config.dp = pc.dp;
+  const auto rows = run_comparison(graph, trace, test::small_node(grid),
+                                   &controller, config);
+  const auto snap = obs::MetricsRegistry::global().snapshot();
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(snap.counter_or("sched.dp.runs"), 1u);
+  EXPECT_EQ(snap.counter_or("sched.dp.lut_entries"), 0u);
+
+  sched::OptimalConfig dp = pc.dp;
+  dp.shared_cache = controller.option_cache;
+  sched::OptimalScheduler self(dp);
+  const nvp::SimResult expected =
+      nvp::simulate(graph, trace, self, controller.node);
+  EXPECT_FALSE(self.lut().empty());
+  EXPECT_TRUE(row_of(rows, "optimal").sim == expected);
 }
 
 }  // namespace

@@ -21,14 +21,20 @@ std::uint64_t fold(std::uint64_t h, double x) {
   return util::fnv1a_u64(h, std::bit_cast<std::uint64_t>(x));
 }
 
+/// A te over `n_tasks` tasks: its length, then its bits as a mask.
+std::uint64_t fold_te(std::uint64_t h, std::size_t n_tasks,
+                      std::uint64_t mask) {
+  return util::fnv1a_u64(util::fnv1a_u64(h, n_tasks), mask);
+}
+
 std::uint64_t fold(std::uint64_t h, const std::vector<bool>& te) {
   std::uint64_t mask = 0;
   for (std::size_t i = 0; i < te.size(); ++i)
     if (te[i]) mask |= std::uint64_t{1} << i;
-  return util::fnv1a_u64(util::fnv1a_u64(h, te.size()), mask);
+  return fold_te(h, te.size(), mask);
 }
 
-std::uint64_t dp_digest(const OptimalScheduler& dp) {
+std::uint64_t dp_digest(const OptimalScheduler& dp, std::size_t n_tasks) {
   std::uint64_t h = util::kFnv1aOffsetBasis;
   h = util::fnv1a_u64(h, dp.plan().size());
   for (const PlannedPeriod& p : dp.plan()) {
@@ -47,7 +53,7 @@ std::uint64_t dp_digest(const OptimalScheduler& dp) {
     h = fold(h, e.key.v0);
     h = fold(h, e.consumed_j);
     h = fold(h, e.alpha);
-    h = fold(h, e.te);
+    h = fold_te(h, n_tasks, e.te);
   }
   return util::fnv1a_u64(h, dp.planned_total_misses());
 }
@@ -63,8 +69,9 @@ TEST(DpPin, DefaultDpOnTwoDayWamTraceMatchesRecordedDigest) {
     dp.begin_trace(graph, node, trace);
     // Recorded from the per-subset evaluator the period kernel replaced
     // (56 planned misses, 376 LUT entries).
-    EXPECT_EQ(dp_digest(dp), 0x38e54307074d7d80ull)
-        << "threads " << threads << " digest 0x" << std::hex << dp_digest(dp);
+    const std::uint64_t digest = dp_digest(dp, graph.size());
+    EXPECT_EQ(digest, 0x38e54307074d7d80ull)
+        << "threads " << threads << " digest 0x" << std::hex << digest;
     EXPECT_EQ(dp.plan().size(), trace.grid().total_periods());
   }
   util::ThreadPool::set_global_threads(

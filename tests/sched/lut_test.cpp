@@ -11,7 +11,7 @@ LutEntry entry(double dmr, double solar, double cap, double v0,
   e.key = {dmr, solar, cap, v0};
   e.consumed_j = consumed;
   e.alpha = dmr + 1.0;
-  e.te = {true, false};
+  e.te = 0b01;
   return e;
 }
 

@@ -164,7 +164,7 @@ std::vector<PeriodOption> serial_reference(const PeriodOptimizer& opt,
                            eval.final_usable_j,
                            eval.final_voltage_v,
                            eval.alpha,
-                           te};
+                           static_cast<std::uint64_t>(mask)};
   }
   std::vector<PeriodOption> out;
   for (std::size_t k = 0; k <= n; ++k)

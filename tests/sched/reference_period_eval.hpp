@@ -257,13 +257,16 @@ inline std::vector<sched::PeriodOption> reference_pareto(
         (std::fabs(eval.consumed_cap_j - best[k].consumed_cap_j) <= 1e-12 &&
          eval.final_usable_j > best[k].final_usable_j);
     if (better) {
+      std::uint64_t te_mask = 0;
+      for (std::size_t i = 0; i < n; ++i)
+        if (te[i]) te_mask |= std::uint64_t{1} << i;
       seen[k] = true;
       best[k] = sched::PeriodOption{k,
                                     eval.consumed_cap_j,
                                     eval.final_usable_j,
                                     eval.final_voltage_v,
                                     eval.alpha,
-                                    te};
+                                    te_mask};
     }
     if (evals) evals->push_back(std::move(eval));
   }
